@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -40,17 +41,22 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import RationalMatrix, rank
-from .maps import QPFlow, QPMap, State, iterate, mmatrix
-from .modelfile import LoadedModel, load_model
+from .maps import QPFlow, QPSystem, State, iterate, mmatrix
+from .modelfile import LoadedModel, load_model, model_document
 from .reduction import reduce as reduce_map
 from .reduction import to_lv_canonical
 from .sampling import make_rng, random_invertible_transform, seed_from_env
-from .transforms import class_invariant, same_class
+from .transforms import QMTransform, class_invariant, same_class
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_DIVERGED = 4
+
+# Most steps one command runs, whether set by `simulate --steps` or by
+# `discretize --horizon` over `--eps`.  Every state is kept for the report
+# and CSV, so the cap bounds memory as well as time; above it, exit code 2.
+MAX_STEPS = 1_000_000
 
 _PRECONDITION_ERRORS = (
     DimensionMismatchError, SingularMatrixError, RankDeficientInputError,
@@ -71,11 +77,9 @@ def _vec(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _map_doc(qp: QPMap | QPFlow) -> dict:
-    lam = qp.lam_star if isinstance(qp, QPFlow) else qp.lam
-    a = qp.A_star if isinstance(qp, QPFlow) else qp.A
-    return {"n": qp.n, "m": qp.m, "lambda": _vec(lam), "A": _mat(a),
-            "B": _mat(qp.B)}
+def _map_doc(qp: QPSystem) -> dict:
+    """The model-file document of a system, without its `kind`."""
+    return {k: v for k, v in model_document(qp).items() if k != "kind"}
 
 
 def _report(command: str, inputs: dict, results: dict, exact_checks: dict,
@@ -118,6 +122,20 @@ def _parse_eps(raw: str) -> Fraction:
     if e <= 0:
         raise ModelFileError("time step must be positive", field="--eps")
     return e
+
+
+def _check_steps(field: str, value: float, eps: Fraction | None) -> None:
+    """Reject a negative or non-finite value, or a run above MAX_STEPS.
+
+    `value` is a step count (eps = 1) or a time horizon covered in steps of
+    eps; with eps None only the sign and finiteness are checked.
+    """
+    if not (math.isfinite(value) and value >= 0):
+        raise ModelFileError(f"must be finite and nonnegative, got {value!r}",
+                             field=field)
+    if eps is not None and Fraction(value) / eps > MAX_STEPS:
+        raise ModelFileError(f"{value!r} asks for more than the {MAX_STEPS} "
+                             "steps allowed", field=field)
 
 
 def _load_kind(path: str, kind: str) -> LoadedModel:
@@ -234,6 +252,7 @@ def _write_csv(path: str, states) -> None:
 
 def _cmd_simulate(args) -> tuple[dict, int]:
     started = time.perf_counter()
+    _check_steps("--steps", args.steps, Fraction(1))
     loaded = _load_kind(args.model, "map")
     qp = loaded.model
     initial = _initial_for(loaded, args)
@@ -268,8 +287,6 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _commutativity_table(flow: QPFlow, eps: Fraction) -> list[dict]:
-    from .transforms import QMTransform
-
     rng = make_rng("cli-commutativity")
     dilation = QMTransform(RationalMatrix.from_rows(
         [[Fraction(2) if i == j == 0 else Fraction(int(i == j))
@@ -303,6 +320,9 @@ def _cmd_discretize(args) -> tuple[dict, int]:
     flow = loaded.model
     eps = _parse_eps(args.eps)
     analyses = args.analysis or []
+    # the horizon sets a run length only when an orbit is run
+    _check_steps("--horizon", args.horizon,
+                 eps if "divergence" in analyses else None)
     results: dict = {"eps": str(eps)}
     if args.scheme in ("qp", "both"):
         results["qp_map"] = _map_doc(qp_discretize(flow, eps))
@@ -334,7 +354,8 @@ def _cmd_discretize(args) -> tuple[dict, int]:
         results["fixed_point"] = {
             "status": rep.status,
             "reason": rep.reason,
-            "fixed_point": list(rep.fixed_point) if rep.fixed_point else None,
+            "fixed_point": (list(rep.fixed_point)
+                            if rep.fixed_point is not None else None),
             "euler_residual": rep.euler_residual,
             "jacobian_max_diff": rep.jacobian_max_diff,
             "euler_fixes_point": rep.euler_fixes_point

@@ -26,10 +26,11 @@ from .errors import (
     OrbitEscapedError,
     OverflowDivergenceError,
 )
-from .linalg import RationalMatrix, as_fraction
+from .linalg import as_fraction
 from .maps import (
     QPFlow,
     QPMap,
+    QPSystem,
     State,
     _float_parts,
     _qm_values,
@@ -38,8 +39,8 @@ from .maps import (
     jacobian,
     step,
 )
-from .reduction import lv_canonical_flow
-from .transforms import QMTransform, apply_qm, apply_qm_flow, phi, phi_inverse
+from .reduction import lv_canonical_flow, to_lv_canonical
+from .transforms import QMTransform, apply_qm, phi, phi_inverse
 
 EULER_FIXED_POINT_TOL = 1e-10
 JACOBIAN_MATCH_TOL = 1e-12
@@ -53,43 +54,26 @@ def _coerce_eps(eps) -> Fraction:
 
 
 @dataclass(frozen=True)
-class EulerMap:
+class EulerMap(QPSystem):
     """Euler-discretized system; deliberately not a QPMap.
 
-    The additive update rule breaks form invariance and positivity, so this
-    type cannot be fed to the transform or reduction machinery.
+    The additive update rule breaks form invariance and positivity, so the
+    transform and reduction machinery rejects this type.
     """
 
-    lam: tuple[Fraction, ...]
-    A: RationalMatrix
-    B: RationalMatrix
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(as_fraction(v) for v in self.lam))
-        if self.A.rows != len(self.lam) or self.B.cols != len(self.lam) \
-                or self.A.cols != self.B.rows:
-            raise DimensionMismatchError("inconsistent Euler map shapes")
-
-    @property
-    def n(self) -> int:
-        return len(self.lam)
-
-    @property
-    def m(self) -> int:
-        return self.B.rows
+def _scaled(flow: QPFlow, e: Fraction):
+    """(eps lam*, eps A*): the coefficients of every discretization of a flow."""
+    return tuple(e * v for v in flow.lam), flow.A.scale(e)
 
 
 def qp_discretize(flow: QPFlow, eps) -> QPMap:
     """QP map with lam = eps*lam*, A = eps*A*, same B; exact for rational eps."""
-    e = _coerce_eps(eps)
-    return QPMap(lam=tuple(e * v for v in flow.lam_star),
-                 A=flow.A_star.scale(e), B=flow.B)
+    return QPMap(*_scaled(flow, _coerce_eps(eps)), flow.B)
 
 
 def euler_discretize(flow: QPFlow, eps) -> EulerMap:
-    e = _coerce_eps(eps)
-    return EulerMap(lam=tuple(e * v for v in flow.lam_star),
-                    A=flow.A_star.scale(e), B=flow.B)
+    return EulerMap(*_scaled(flow, _coerce_eps(eps)), flow.B)
 
 
 @dataclass(frozen=True)
@@ -189,7 +173,7 @@ def compare_discretizations(flow: QPFlow, eps, s0: State,
         times.append(p * float(e))
         qp_traj.append(tuple(x_qp.x))
         euler_traj.append(tuple(x_e.x))
-        diffs.append(max(abs(a - b) for a, b in zip(x_qp, x_e)))
+        diffs.append(max((abs(a - b) for a, b in zip(x_qp, x_e)), default=0.0))
     return DivergenceSeries(eps=e, times=tuple(times),
                             qp_states=tuple(qp_traj),
                             euler_states=tuple(euler_traj),
@@ -234,12 +218,14 @@ def check_fixed_point_coincidence(flow: QPFlow, eps) -> FixedPointCoincidence:
     except FixedPointNotFound as err:
         return FixedPointCoincidence(status="skipped", reason=str(err))
     res = euler_step(em, fp)
-    scale = max(abs(v) for v in fp)
-    e_resid = max(abs(a - b) for a, b in zip(res.values, fp)) / scale
+    # sup-norms over the empty state (n = 0) read 0
+    scale = max((abs(v) for v in fp), default=1.0)
+    e_resid = max((abs(a - b) for a, b in zip(res.values, fp)),
+                  default=0.0) / scale
     j_qp = jacobian(qp, fp)
     j_eu = euler_jacobian(em, fp)
-    j_diff = max(abs(a - b) for ra, rb in zip(j_qp, j_eu)
-                 for a, b in zip(ra, rb))
+    j_diff = max((abs(a - b) for ra, rb in zip(j_qp, j_eu)
+                  for a, b in zip(ra, rb)), default=0.0)
     return FixedPointCoincidence(status="ok", fixed_point=tuple(fp.x),
                                  euler_residual=e_resid,
                                  jacobian_max_diff=j_diff)
@@ -312,8 +298,7 @@ class CommutativityVerdict:
 def _family_update(family: DiscretizationFamily, flow: QPFlow, eps: Fraction,
                    s: State) -> tuple[float, ...]:
     """Apply one step of the family-discretized flow; raw output vector."""
-    lam = tuple(eps * v for v in flow.lam_star)
-    a = flow.A_star.scale(eps)
+    lam, a = _scaled(flow, eps)
     lam_f, a_rows, b_rows = _float_parts(lam, a, flow.B)
     q = _qm_values(b_rows, s, DEFAULT_EXP_BOUND)
     out = []
@@ -355,7 +340,7 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
 
     if family.kind in (FamilyKind.QP_EXP, FamilyKind.POWER_BASE):
         lhs = apply_qm(qp_discretize(flow, e), t)
-        rhs = qp_discretize(apply_qm_flow(flow, t), e)
+        rhs = qp_discretize(apply_qm(flow, t), e)
         note = ""
         if family.kind is FamilyKind.POWER_BASE:
             note = ("common factor ln(base) absorbed into the coefficients "
@@ -364,7 +349,7 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
                                     commutes=(lhs == rhs), note=note)
 
     probes = list(states) if states is not None else _default_probe_states(flow.n)
-    flow_t = apply_qm_flow(flow, t)
+    flow_t = apply_qm(flow, t)
     worst = 0.0
     witness: tuple[float, ...] | None = None
     compared = 0
@@ -378,7 +363,7 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
                 OverflowError):
             continue
         compared += 1
-        gap = max(abs(a - b) for a, b in zip(route_a, route_b))
+        gap = max((abs(a - b) for a, b in zip(route_a, route_b)), default=0.0)
         if gap > worst:
             worst = gap
             witness = tuple(z.x)
@@ -392,8 +377,6 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
 
 def canonicalization_commutes(flow: QPFlow, eps) -> bool:
     """Exact check: LV-canonicalizing then discretizing equals the reverse order."""
-    from .reduction import to_lv_canonical
-
     e = _coerce_eps(eps)
     lhs, _ = to_lv_canonical(qp_discretize(flow, e))
     rhs = qp_discretize(lv_canonical_flow(flow), e)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import (
     DimensionMismatchError,
@@ -25,6 +24,7 @@ from .errors import (
     NonPositiveStateError,
     NotNonRedundantError,
     OverflowDivergenceError,
+    SingularMatrixError,
 )
 from .linalg import (
     RationalMatrix,
@@ -71,29 +71,15 @@ class State:
         return tuple(math.log(v) for v in self.x)
 
 
-def _validate_qp_shapes(lam: tuple[Fraction, ...], A: RationalMatrix,
-                        B: RationalMatrix) -> None:
-    n = len(lam)
-    if A.rows != n:
-        raise DimensionMismatchError(f"A has {A.rows} rows, expected n={n}")
-    if B.cols != n:
-        raise DimensionMismatchError(f"B has {B.cols} cols, expected n={n}")
-    if B.rows != A.cols:
-        raise DimensionMismatchError(
-            f"A has {A.cols} cols but B has {B.rows} rows; both must equal m")
-
-
-def _coerce_lam(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
-class QPMap:
-    """Discrete-time quasipolynomial mapping with exact rational matrices.
+class QPSystem:
+    """The validated data (lam, A, B) shared by maps, flows and Euler maps.
 
     `lam` has length n, `A` is n x m, `B` is m x n.  Duplicate rows of B are
     rejected because equal exponent rows describe the same quasimonomial;
     build through merge_degenerate_qms when the raw data may contain them.
+    The subclasses differ only in how the data is read, so structural code
+    reads `.lam`, `.A` and `.B` on any of them; equality stays per type.
     """
 
     lam: tuple[Fraction, ...]
@@ -101,11 +87,18 @@ class QPMap:
     B: RationalMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _coerce_lam(self.lam))
-        _validate_qp_shapes(self.lam, self.A, self.B)
+        object.__setattr__(self, "lam", tuple(as_fraction(v) for v in self.lam))
+        n, a, b = len(self.lam), self.A, self.B
+        if a.rows != n:
+            raise DimensionMismatchError(f"A has {a.rows} rows, expected n={n}")
+        if b.cols != n:
+            raise DimensionMismatchError(f"B has {b.cols} cols, expected n={n}")
+        if b.rows != a.cols:
+            raise DimensionMismatchError(
+                f"A has {a.cols} cols but B has {b.rows} rows; both must equal m")
         seen = {}
-        for j in range(self.B.rows):
-            r = self.B.row(j)
+        for j in range(b.rows):
+            r = b.row(j)
             if r in seen:
                 raise DuplicateQuasimonomialsError(
                     f"rows {seen[r]} and {j} of B are identical; "
@@ -122,37 +115,28 @@ class QPMap:
 
 
 @dataclass(frozen=True)
-class QPFlow:
-    """Continuous-time quasipolynomial system; coefficients are per unit time."""
-
-    lam_star: tuple[Fraction, ...]
-    A_star: RationalMatrix
-    B: RationalMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam_star", _coerce_lam(self.lam_star))
-        _validate_qp_shapes(self.lam_star, self.A_star, self.B)
-        seen = set()
-        for j in range(self.B.rows):
-            r = self.B.row(j)
-            if r in seen:
-                raise DuplicateQuasimonomialsError(
-                    f"duplicate exponent row {j} in flow matrix B")
-            seen.add(r)
-
-    @property
-    def n(self) -> int:
-        return len(self.lam_star)
-
-    @property
-    def m(self) -> int:
-        return self.B.rows
+class QPMap(QPSystem):
+    """Discrete-time quasipolynomial mapping with exact rational matrices."""
 
 
-def mmatrix(obj: QPMap | QPFlow) -> RationalMatrix:
+@dataclass(frozen=True, init=False)
+class QPFlow(QPSystem):
+    """Continuous-time quasipolynomial system; coefficients are per unit time.
+
+    The constructor takes the starred names of the continuous-time notation,
+    and `lam_star` and `A_star` stay readable as aliases of `lam` and `A`.
+    """
+
+    def __init__(self, lam_star: tuple[Fraction, ...], A_star: RationalMatrix,
+                 B: RationalMatrix) -> None:
+        QPSystem.__init__(self, lam_star, A_star, B)
+
+    lam_star = property(lambda self: self.lam)
+    A_star = property(lambda self: self.A)
+
+
+def mmatrix(obj: QPSystem) -> RationalMatrix:
     """The n x (m+1) coefficient matrix (lam | A)."""
-    if isinstance(obj, QPFlow):
-        return hstack(column_matrix(obj.lam_star), obj.A_star)
     return hstack(column_matrix(obj.lam), obj.A)
 
 
@@ -193,18 +177,12 @@ def _qm_values(B_rows: tuple[tuple[float, ...], ...], s: "State",
     return out
 
 
-def quasimonomials(qp: QPMap | QPFlow, s: State) -> tuple[float, ...]:
+def quasimonomials(qp: QPSystem, s: State) -> tuple[float, ...]:
     """Evaluate all m quasimonomials prod_k x_k**B[j][k] at the state."""
     if len(s) != qp.n:
         raise DimensionMismatchError(f"state length {len(s)} != n={qp.n}")
-    _, _, B_rows = _float_parts(*_parts_key(qp))
+    _, _, B_rows = _float_parts(qp.lam, qp.A, qp.B)
     return tuple(_qm_values(B_rows, s, DEFAULT_EXP_BOUND))
-
-
-def _parts_key(qp: QPMap | QPFlow):
-    if isinstance(qp, QPFlow):
-        return (qp.lam_star, qp.A_star, qp.B)
-    return (qp.lam, qp.A, qp.B)
 
 
 def field_arguments(qp: QPMap, s: State,
@@ -221,19 +199,25 @@ def field_arguments(qp: QPMap, s: State,
 
 def step(qp: QPMap, s: State, exp_bound: float = DEFAULT_EXP_BOUND) -> State:
     """One update of the map; strictly positive output or OverflowDivergenceError."""
-    args = field_arguments(qp, s, exp_bound)
-    out = []
-    for i, arg in enumerate(args):
-        if abs(arg) > exp_bound:
-            raise OverflowDivergenceError(
-                f"exponent argument {arg:.3g} for variable {i} exceeds "
-                f"bound {exp_bound}", argument=arg)
-        v = s[i] * math.exp(arg)
-        if not (math.isfinite(v) and v > 0.0):
-            raise OverflowDivergenceError(
-                f"variable {i} left the positive float range (value {v!r})",
-                argument=arg)
-        out.append(v)
+    try:
+        args = field_arguments(qp, s, exp_bound)
+        out = []
+        for i, arg in enumerate(args):
+            if abs(arg) > exp_bound:
+                raise OverflowDivergenceError(
+                    f"exponent argument {arg:.3g} for variable {i} exceeds "
+                    f"bound {exp_bound}", argument=arg)
+            v = s[i] * math.exp(arg)
+            if not (math.isfinite(v) and v > 0.0):
+                raise OverflowDivergenceError(
+                    f"variable {i} left the positive float range (value {v!r})",
+                    argument=arg)
+            out.append(v)
+    except OverflowError as err:
+        # math.exp overflows near 709.78, so only an exp_bound above that
+        # gets here
+        raise OverflowDivergenceError(
+            f"an exponential left the float range: {err}") from err
     return State(tuple(out))
 
 
@@ -296,7 +280,7 @@ def find_interior_fixed_point(qp: QPMap) -> State:
         return State(())
     try:
         q_col = solve(qp.A, column_matrix([-v for v in qp.lam]))
-    except Exception as err:
+    except SingularMatrixError as err:
         raise FixedPointNotFound(
             f"coefficient matrix is singular for the quasimonomial system: {err}"
         ) from err

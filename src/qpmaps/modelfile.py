@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ModelFileError, NonPositiveStateError
+from .errors import ModelFileError, NonPositiveStateError, QPError
 from .linalg import RationalMatrix
-from .maps import QPFlow, QPMap, State
+from .maps import QPFlow, QPMap, QPSystem, State
 
 _ALLOWED_KEYS = {"kind", "n", "m", "lambda", "A", "B", "initial",
                  "name", "description"}
@@ -33,7 +33,7 @@ _ALLOWED_KEYS = {"kind", "n", "m", "lambda", "A", "B", "initial",
 @dataclass(frozen=True)
 class LoadedModel:
     kind: str
-    model: QPMap | QPFlow
+    model: QPSystem
     initial: State | None
     name: str | None
     description: str | None
@@ -95,9 +95,8 @@ def parse_model(doc: dict, path: str = "<memory>") -> LoadedModel:
     a = _rational_matrix(doc["A"], n, m, "A", path)
     b = _rational_matrix(doc["B"], m, n, "B", path)
     try:
-        model = (QPMap(lam=lam, A=a, B=b) if kind == "map"
-                 else QPFlow(lam_star=lam, A_star=a, B=b))
-    except Exception as err:
+        model = (QPMap if kind == "map" else QPFlow)(lam, a, b)
+    except QPError as err:
         raise ModelFileError(f"matrices do not form a valid {kind}: {err}",
                              path=path, field="B") from err
     initial = None
@@ -137,22 +136,17 @@ def load_model(path: str | Path) -> LoadedModel:
     return parse_model(doc, path=str(p))
 
 
-def model_document(model: QPMap | QPFlow, initial: State | None = None,
+def model_document(model: QPSystem, initial: State | None = None,
                    name: str | None = None,
                    description: str | None = None) -> dict:
     """Serializable document for a map or flow; inverse of parse_model."""
-    if isinstance(model, QPFlow):
-        kind, lam, a = "flow", model.lam_star, model.A_star
-    else:
-        kind, lam, a = "map", model.lam, model.A
     doc = {
-        "kind": kind,
+        "kind": "flow" if isinstance(model, QPFlow) else "map",
         "n": model.n,
         "m": model.m,
-        "lambda": [str(v) for v in lam],
-        "A": [[str(a[i, j]) for j in range(model.m)] for i in range(model.n)],
-        "B": [[str(model.B[j, k]) for k in range(model.n)]
-              for j in range(model.m)],
+        "lambda": [str(v) for v in model.lam],
+        "A": [[str(v) for v in model.A.row(i)] for i in range(model.n)],
+        "B": [[str(v) for v in model.B.row(j)] for j in range(model.m)],
     }
     if initial is not None:
         doc["initial"] = [repr(v) for v in initial]
@@ -163,7 +157,7 @@ def model_document(model: QPMap | QPFlow, initial: State | None = None,
     return doc
 
 
-def save_model(model: QPMap | QPFlow, path: str | Path,
+def save_model(model: QPSystem, path: str | Path,
                initial: State | None = None, name: str | None = None,
                description: str | None = None) -> None:
     doc = model_document(model, initial=initial, name=name,

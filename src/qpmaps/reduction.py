@@ -43,16 +43,14 @@ from .linalg import (
     vstack,
     _rref,
 )
-from .maps import QPFlow, QPMap, State, mmatrix
-from .transforms import QMTransform, apply_qm, apply_qm_flow, phi
+from .maps import QPFlow, QPMap, QPSystem, State, mmatrix
+from .transforms import QMTransform, apply_qm, phi, require_conjugable
 
 
 class StepKind(Enum):
     STEP1 = "step1"
     STEP2 = "step2"
     STEP3 = "step3"
-    MERGE = "merge"
-    EMBED = "embed"
 
 
 @dataclass(frozen=True)
@@ -92,41 +90,6 @@ class ReductionReport:
 # -- quasimonomial bookkeeping ------------------------------------------------
 
 
-def _clean_parts(lam, a_cols, b_rows, n):
-    """Collapse duplicate exponent rows and fold constant quasimonomials.
-
-    Duplicate rows of B denote a single quasimonomial, so their coefficient
-    columns are summed onto the first occurrence.  An all-zero exponent row is
-    the constant quasimonomial 1; its column is folded into lam.
-    """
-    kept_rows = []
-    kept_cols = []
-    first = {}
-    for row, col in zip(b_rows, a_cols):
-        if row in first:
-            k = first[row]
-            kept_cols[k] = tuple(a + b for a, b in zip(kept_cols[k], col))
-        else:
-            first[row] = len(kept_rows)
-            kept_rows.append(row)
-            kept_cols.append(tuple(col))
-    lam = list(lam)
-    zero_row = (Fraction(0),) * n
-    final_rows, final_cols = [], []
-    for row, col in zip(kept_rows, kept_cols):
-        if row == zero_row:
-            for i in range(n):
-                lam[i] += col[i]
-        else:
-            final_rows.append(row)
-            final_cols.append(col)
-    m = len(final_rows)
-    a = RationalMatrix.from_rows(
-        [[final_cols[j][i] for j in range(m)] for i in range(n)], cols=m)
-    b = RationalMatrix.from_rows(final_rows, cols=n)
-    return QPMap(lam=tuple(lam), A=a, B=b)
-
-
 def merge_degenerate_qms(lam, A: RationalMatrix, B: RationalMatrix) -> QPMap:
     """Build a QPMap from raw matrices, collapsing duplicate rows of B.
 
@@ -138,35 +101,38 @@ def merge_degenerate_qms(lam, A: RationalMatrix, B: RationalMatrix) -> QPMap:
     n = len(lam)
     if A.rows != n or B.cols != n or A.cols != B.rows:
         raise DimensionMismatchError("inconsistent lam/A/B shapes")
-    kept_rows, kept_cols, first = [], [], {}
+    cols: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
     for j in range(B.rows):
-        row = B.row(j)
-        col = A.col(j)
-        if row in first:
-            k = first[row]
-            kept_cols[k] = tuple(a + b for a, b in zip(kept_cols[k], col))
-        else:
-            first[row] = len(kept_rows)
-            kept_rows.append(row)
-            kept_cols.append(col)
-    m = len(kept_rows)
-    a = RationalMatrix.from_rows(
-        [[kept_cols[j][i] for j in range(m)] for i in range(n)], cols=m)
-    b = RationalMatrix.from_rows(kept_rows, cols=n)
+        row, col = B.row(j), A.col(j)
+        if row in cols:
+            col = tuple(a + b for a, b in zip(cols[row], col))
+        cols[row] = col  # a dict keeps the first-occurrence order
+    a = RationalMatrix.from_rows(list(cols.values()), cols=n).transpose()
+    b = RationalMatrix.from_rows(list(cols), cols=n)
     return QPMap(lam=lam, A=a, B=b)
 
 
 def _truncate(mapped: QPMap, r: int, q: tuple[Fraction, ...] | None) -> QPMap:
-    """Drop trailing decoupled variables; scale columns by q; clean up."""
-    lam = mapped.lam[:r]
-    a_cols = []
-    for j in range(mapped.m):
-        col = [mapped.A[i, j] for i in range(r)]
-        if q is not None:
-            col = [v * q[j] for v in col]
-        a_cols.append(tuple(col))
-    b_rows = [mapped.B.row(j)[:r] for j in range(mapped.m)]
-    return _clean_parts(lam, a_cols, b_rows, r)
+    """Drop trailing decoupled variables; scale columns by q; merge and fold.
+
+    The column deletion can make exponent rows equal, which merge, and can
+    leave an all-zero row: the constant quasimonomial 1, whose coefficient
+    column is folded into lam.
+    """
+    a_rows = [mapped.A.row(i) for i in range(r)]
+    if q is not None:
+        a_rows = [[v * qj for v, qj in zip(row, q)] for row in a_rows]
+    merged = merge_degenerate_qms(
+        mapped.lam[:r], RationalMatrix.from_rows(a_rows, cols=mapped.m),
+        mapped.B.take_cols(range(r)))
+    zero = (Fraction(0),) * r
+    z = next((j for j in range(merged.m) if merged.B.row(j) == zero), None)
+    if z is None:
+        return merged
+    keep = [j for j in range(merged.m) if j != z]
+    lam = tuple(v + c for v, c in zip(merged.lam, merged.A.col(z)))
+    return QPMap(lam=lam, A=merged.A.take_cols(keep),
+                 B=merged.B.take_rows(keep))
 
 
 # -- decoupling steps ---------------------------------------------------------
@@ -184,16 +150,10 @@ def _kernel_decouple(qp: QPMap, kind: StepKind) -> tuple[QPMap, StepRecord]:
     _, pivots = _rref(qp.B)
     r = len(pivots)
     order = pivots + [c for c in range(n) if c not in pivots]
-    perm = RationalMatrix.from_rows(
-        [[Fraction(1) if order[j] == i else Fraction(0) for j in range(n)]
-         for i in range(n)], cols=n)
-    b_perm = qp.B @ perm
-    kern = kernel_basis(b_perm)
-    lead = RationalMatrix.from_rows(
-        [[Fraction(1) if i == j else Fraction(0) for j in range(r)]
-         for i in range(n)], cols=r)
-    kern_cols = RationalMatrix.from_rows(
-        [[v[i] for v in kern] for i in range(n)], cols=n - r)
+    perm = RationalMatrix.identity(n).take_cols(order)
+    kern = kernel_basis(qp.B @ perm)
+    lead = RationalMatrix.identity(n).take_cols(range(r))
+    kern_cols = RationalMatrix.from_rows(kern, cols=n).transpose()
     c_total = perm @ hstack(lead, kern_cols)
     if rank(c_total) != n:
         raise IllConditionedBlockError(
@@ -290,8 +250,6 @@ def reduce_step3(qp: QPMap,
 
 def push_state(record: StepRecord, s: State) -> State:
     """Image of a state under one reduction step (transform, then drop)."""
-    if record.kind is StepKind.MERGE:
-        return s
     y = phi(record.transform, s)
     keep = len(s) - len(record.decoupled_indices)
     return State(y.x[:keep])
@@ -305,10 +263,6 @@ def push_state_through(steps, s: State) -> State:
 
 def apply_step(qp: QPMap, record: StepRecord) -> QPMap:
     """Replay one recorded step on a map; exact."""
-    if record.kind is StepKind.MERGE:
-        return merge_degenerate_qms(qp.lam, qp.A, qp.B)
-    if record.kind is StepKind.EMBED:
-        return embed(qp)
     mapped = apply_qm(qp, record.transform)
     r = qp.n - len(record.decoupled_indices)
     return _truncate(mapped, r, record.q_factors)
@@ -324,8 +278,6 @@ def _pullback_exponents(steps, exponents) -> tuple[Fraction, ...]:
     """Rewrite a quasimonomial of a reduced stage in the original variables."""
     e = list(exponents)
     for rec in reversed(steps):
-        if rec.kind is StepKind.MERGE:
-            continue
         n_prev = rec.transform.n
         e = e + [Fraction(0)] * (n_prev - len(e))
         e = list(vec_mat(e, rec.transform.c_inv))
@@ -348,6 +300,7 @@ def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
     discovered by step-3 passes are pulled back to the original variables;
     their values are filled in when an initial state is supplied.
     """
+    require_conjugable(qp)
     if initial is not None and len(initial) != qp.n:
         raise DimensionMismatchError("initial state length does not match map")
     records: list[StepRecord] = []
@@ -355,19 +308,13 @@ def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
     cur = qp
     cur_state = initial
 
-    out = reduce_step1(cur)
-    if out is not None:
-        cur, rec = out
-        records.append(rec)
-        if cur_state is not None:
-            cur_state = push_state(rec, cur_state)
-
-    out = reduce_step2(cur)
-    if out is not None:
-        cur, rec = out
-        records.append(rec)
-        if cur_state is not None:
-            cur_state = push_state(rec, cur_state)
+    for reduce_step in (reduce_step1, reduce_step2):
+        out = reduce_step(cur)
+        if out is not None:
+            cur, rec = out
+            records.append(rec)
+            if cur_state is not None:
+                cur_state = push_state(rec, cur_state)
 
     passes = 0
     while True:
@@ -400,14 +347,16 @@ def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
 # -- embedding and the Lotka-Volterra canonical form ---------------------------
 
 
-def embed(qp: QPMap) -> QPMap:
-    """Lift an m > n map to m variables by appending constant-1 coordinates.
+def embed(qp: QPSystem) -> QPSystem:
+    """Lift an m > n system to m variables by appending constant-1 coordinates.
 
     The new coordinates carry zero lam entries and zero coefficient rows, and
     B is extended on the right to an invertible m x m matrix by deterministic
     standard-basis completion.  On the level set where the appended
     coordinates equal 1, the embedded dynamics are the original dynamics.
+    The result has the type of the input.
     """
+    require_conjugable(qp)
     n, m = qp.n, qp.m
     if m == n:
         raise NotApplicableError("map already has m = n; nothing to embed")
@@ -418,58 +367,37 @@ def embed(qp: QPMap) -> QPMap:
     b_full = complete_to_invertible(qp.B, side="right")
     lam = qp.lam + (Fraction(0),) * (m - n)
     a_full = vstack(qp.A, RationalMatrix.zeros(m - n, m))
-    return QPMap(lam=lam, A=a_full, B=b_full)
+    return type(qp)(lam, a_full, b_full)
 
 
-def to_lv_canonical(qp: QPMap) -> tuple[QPMap, tuple[ConstantOfMotion, ...]]:
-    """Conjugate a non-redundant map to its Lotka-Volterra form (B = I).
+embed_flow = embed
+
+
+def to_lv_canonical(qp: QPSystem) -> tuple[QPSystem, tuple[ConstantOfMotion, ...]]:
+    """Conjugate a non-redundant map or flow to its Lotka-Volterra form (B = I).
 
     For m = n this is the transform C = B^-1 and the result carries the exact
-    coefficient matrix B (lam | A).  For m > n the map is embedded first; the
-    resulting m-dimensional LV map has the same coefficient matrix and m - n
-    independent quasimonomial constants of motion whose common level set
-    {1, ..., 1} carries the original dynamics.
+    coefficient matrix B (lam | A).  For m > n the system is embedded first;
+    the resulting m-dimensional LV system has the same coefficient matrix and
+    m - n independent quasimonomial constants of motion whose common level
+    set {1, ..., 1} carries the original dynamics.  The result has the type
+    of the input.
     """
+    require_conjugable(qp)
     n, m = qp.n, qp.m
     if m < n:
         raise NotNonRedundantError("m >= n required; run reduce first")
     if rank(qp.B) != n:
         raise NotNonRedundantError(
             "B must have full column rank n; run reduce first")
-    if m == n:
-        t = QMTransform(inverse(qp.B))
-        return apply_qm(qp, t), ()
-    lifted = embed(qp)
+    lifted = qp if m == n else embed(qp)
     t = QMTransform(inverse(lifted.B))
-    lv = apply_qm(lifted, t)
     constants = tuple(
         ConstantOfMotion(exponents=t.C.row(j), value=1.0)
         for j in range(n, m))
-    return lv, constants
-
-
-def embed_flow(flow: QPFlow) -> QPFlow:
-    """Embedding of a continuous-time system; same completion rule as embed."""
-    n, m = flow.n, flow.m
-    if m == n:
-        raise NotApplicableError("flow already has m = n; nothing to embed")
-    if m < n:
-        raise NotApplicableError("embedding needs m > n")
-    if rank(flow.B) < n:
-        raise RankDeficientInputError("B must have full column rank n")
-    b_full = complete_to_invertible(flow.B, side="right")
-    lam = flow.lam_star + (Fraction(0),) * (m - n)
-    a_full = vstack(flow.A_star, RationalMatrix.zeros(m - n, m))
-    return QPFlow(lam_star=lam, A_star=a_full, B=b_full)
+    return apply_qm(lifted, t), constants
 
 
 def lv_canonical_flow(flow: QPFlow) -> QPFlow:
     """Lotka-Volterra canonical form of a flow (B = I, coefficients B (lam*|A*))."""
-    n, m = flow.n, flow.m
-    if m < n:
-        raise NotNonRedundantError("m >= n required")
-    if rank(flow.B) != n:
-        raise NotNonRedundantError("B must have full column rank n")
-    src = flow if m == n else embed_flow(flow)
-    t = QMTransform(inverse(src.B))
-    return apply_qm_flow(src, t)
+    return to_lv_canonical(flow)[0]

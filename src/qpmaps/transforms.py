@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DimensionMismatchError,
+    NotApplicableError,
     NotNonRedundantError,
     NotSameClassError,
 )
@@ -26,7 +27,8 @@ from .linalg import (
     select_independent_rows,
     solve,
 )
-from .maps import QPFlow, QPMap, State, _single_unit_index, mmatrix, step
+from .maps import (QPFlow, QPMap, QPSystem, State, _single_unit_index,
+                   mmatrix, step)
 
 
 @dataclass(frozen=True)
@@ -49,25 +51,33 @@ class QMTransform:
         return QMTransform(self.c_inv)
 
 
-def apply_qm(qp: QPMap, t: QMTransform) -> QPMap:
-    """Transformed map with A' = C^-1 A, B' = B C, lam' = C^-1 lam, all exact.
+def require_conjugable(qp: QPSystem) -> None:
+    """Reject systems whose update rule quasimonomial transforms do not preserve.
 
-    Since C is invertible, B C keeps distinct rows distinct, so the result
-    never needs degeneracy merging.
+    Maps and flows are form-invariant; an Euler map's additive update is not,
+    so the transform and reduction machinery refuses it.
     """
+    if not isinstance(qp, (QPMap, QPFlow)):
+        raise NotApplicableError(
+            f"{type(qp).__name__} is not form-invariant under quasimonomial "
+            "transforms; only maps and flows are")
+
+
+def apply_qm(qp: QPSystem, t: QMTransform) -> QPSystem:
+    """Transformed system with A' = C^-1 A, B' = B C, lam' = C^-1 lam, all exact.
+
+    Maps and flows follow the same rules and keep their type.  Since C is
+    invertible, B C keeps distinct rows distinct, so the result never needs
+    degeneracy merging.
+    """
+    require_conjugable(qp)
     if t.n != qp.n:
         raise DimensionMismatchError(
             f"transform is {t.n}x{t.n} but the map has n={qp.n}")
-    return QPMap(lam=mat_vec(t.c_inv, qp.lam), A=t.c_inv @ qp.A, B=qp.B @ t.C)
+    return type(qp)(mat_vec(t.c_inv, qp.lam), t.c_inv @ qp.A, qp.B @ t.C)
 
 
-def apply_qm_flow(flow: QPFlow, t: QMTransform) -> QPFlow:
-    """Same transformation rules applied to a continuous-time system."""
-    if t.n != flow.n:
-        raise DimensionMismatchError(
-            f"transform is {t.n}x{t.n} but the flow has n={flow.n}")
-    return QPFlow(lam_star=mat_vec(t.c_inv, flow.lam_star),
-                  A_star=t.c_inv @ flow.A_star, B=flow.B @ t.C)
+apply_qm_flow = apply_qm
 
 
 def _power_product(rows: tuple[tuple[float, ...], ...], s: State) -> State:
@@ -119,14 +129,12 @@ def conjugacy_residual(map_f: QPMap, map_g: QPMap, t: QMTransform,
     return max(abs(a - b) for a, b in zip(lhs, rhs)) / scale
 
 
-def class_invariant(qp: QPMap) -> RationalMatrix:
+def class_invariant(qp: QPSystem) -> RationalMatrix:
     """The m x (m+1) product B (lam | A), identical across an equivalence class."""
     return qp.B @ mmatrix(qp)
 
 
-def flow_class_invariant(flow: QPFlow) -> RationalMatrix:
-    """Continuous-time analogue B (lam* | A*)."""
-    return flow.B @ mmatrix(flow)
+flow_class_invariant = class_invariant
 
 
 def same_class(map1: QPMap, map2: QPMap) -> QMTransform | None:

@@ -263,3 +263,53 @@ def test_out_flag_writes_report(capsys, tmp_path, worked_model):
     code, out, _ = run_cli(capsys, "reduce", worked_model, "--out", str(dest))
     assert code == 0
     assert json.loads(dest.read_text()) == report_of(out)
+
+
+def test_discretize_empty_flow_runs_every_analysis(capsys, tmp_path):
+    flow = QPFlow(lam_star=(), A_star=RationalMatrix.zeros(0, 0),
+                  B=RationalMatrix.zeros(0, 0))
+    path = tmp_path / "empty.json"
+    save_model(flow, path, initial=State(()))
+    code, out, err = run_cli(
+        capsys, "discretize", str(path), "--eps", "1/10",
+        "--analysis", "divergence", "--analysis", "fixed-point",
+        "--analysis", "commutativity")
+    assert code == 0, err
+    results = report_of(out)["results"]
+    assert results["divergence"]["sup_diffs"] == [0.0] * 11
+    assert results["fixed_point"]["fixed_point"] == []
+    assert results["fixed_point"]["euler_residual"] == 0.0
+    assert results["fixed_point"]["jacobian_max_diff"] == 0.0
+    assert all(row["commutes"] for row in results["commutativity"])
+
+
+@pytest.mark.parametrize("steps", ["-3", "1000001"])
+def test_simulate_rejects_bad_step_counts(capsys, tmp_path, lv_model, steps):
+    from qpmaps.cli import MAX_STEPS
+
+    assert MAX_STEPS >= 10**6
+    csv_path = tmp_path / "orbit.csv"
+    code, out, err = run_cli(capsys, "simulate", lv_model, "--steps", steps,
+                             "--initial", "1.0,0.5", "--out", str(csv_path))
+    assert code == 2
+    assert out == "" and "--steps" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("horizon", ["-5", "inf", "nan"])
+def test_discretize_rejects_bad_horizon(capsys, flow_model, horizon):
+    code, out, err = run_cli(capsys, "discretize", flow_model, "--eps", "1/10",
+                             "--horizon", horizon)
+    assert code == 2
+    assert out == "" and "--horizon" in err
+
+
+def test_discretize_caps_steps_from_horizon(capsys, flow_model):
+    args = ("discretize", flow_model, "--eps", "1/1000000000",
+            "--horizon", "1e9")
+    code, out, err = run_cli(capsys, *args, "--analysis", "divergence")
+    assert code == 2
+    assert out == "" and "--horizon" in err
+    # without an orbit to run, the horizon sets no run length
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0

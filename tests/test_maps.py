@@ -208,3 +208,25 @@ def test_fixed_point_residual_certificate():
         resid = max(abs(x - y) for x, y in zip(nxt, fp)) / max(fp)
         assert resid < 1e-9
         found += 1
+
+
+def test_overflow_beyond_double_range_is_divergence():
+    # with exp_bound above ~709.78, math.exp itself overflows; that must
+    # still surface as the package's divergence error
+    qp = QPMap(lam=(800,), A=M([[0]]), B=M([[1]]))
+    with pytest.raises(OverflowDivergenceError):
+        step(qp, State((1.0,)), exp_bound=1000)
+    qp = QPMap(lam=(0,), A=M([[1]]), B=M([[800]]))
+    with pytest.raises(OverflowDivergenceError):
+        step(qp, State((math.e,)), exp_bound=1000)
+
+
+def test_fixed_point_lets_unexpected_errors_through(monkeypatch):
+    import qpmaps.maps
+
+    def broken_solve(mat, rhs):
+        raise ZeroDivisionError("not a singularity")
+
+    monkeypatch.setattr(qpmaps.maps, "solve", broken_solve)
+    with pytest.raises(ZeroDivisionError):
+        find_interior_fixed_point(lv1d())

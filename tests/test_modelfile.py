@@ -108,3 +108,14 @@ def test_save_load_roundtrip(tmp_path):
     # document round-trips through JSON losslessly
     doc = model_document(qp, initial=State((1.5, 0.7)), name="demo")
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_parse_does_not_mask_unexpected_errors(monkeypatch):
+    import qpmaps.modelfile
+
+    def broken_map(lam, a, b):
+        raise ZeroDivisionError("not a validation failure")
+
+    monkeypatch.setattr(qpmaps.modelfile, "QPMap", broken_map)
+    with pytest.raises(ZeroDivisionError):
+        parse_model(sample_doc())

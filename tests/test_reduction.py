@@ -482,3 +482,29 @@ def test_evaluate_constant_examples():
     assert evaluate_constant(c, State((3.0, 4.0))) == 1.0
     c = ConstantOfMotion(exponents=(Fraction(1), Fraction(-1)))
     assert evaluate_constant(c, State((6.0, 3.0))) == pytest.approx(2.0)
+
+
+def test_lv_canonical_of_a_flow_is_a_flow():
+    from qpmaps import QPFlow, flow_class_invariant, lv_canonical_flow
+
+    for b in (M([[1, 1], [1, 0]]), M([[1, 0], [1, 1], [2, 1]])):
+        m = b.rows
+        flow = QPFlow(lam_star=(1, -1),
+                      A_star=M([[j - i for j in range(m)] for i in range(2)]),
+                      B=b)
+        lv, constants = to_lv_canonical(flow)
+        assert isinstance(lv, QPFlow)
+        assert lv.B.is_identity()
+        assert mmatrix(lv) == flow_class_invariant(flow)
+        assert len(constants) == m - 2
+        assert lv == lv_canonical_flow(flow)
+
+
+def test_reduction_machinery_rejects_euler_maps():
+    from qpmaps import QPFlow, euler_discretize
+
+    flow = QPFlow(lam_star=(1,), A_star=M([[-1, 1]]), B=M([[1], [2]]))
+    em = euler_discretize(flow, Fraction(1, 10))
+    for call in (to_lv_canonical, embed, reduce):
+        with pytest.raises(NotApplicableError):
+            call(em)

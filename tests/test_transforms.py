@@ -173,3 +173,18 @@ def test_same_class_negative_and_guards():
     assert rank(rank_deficient.B) < 2
     with pytest.raises(NotNonRedundantError):
         same_class(a, rank_deficient)
+
+
+def test_apply_qm_keeps_flows_and_rejects_euler_maps():
+    from qpmaps import QPFlow, apply_qm_flow, euler_discretize
+    from qpmaps.errors import NotApplicableError
+
+    flow = QPFlow(lam_star=(1, 2), A_star=M([[-1, 0], [1, -1]]),
+                  B=M([[1, 1], [0, 1]]))
+    t = QMTransform(M([[1, 1], [0, 1]]))
+    out = apply_qm(flow, t)
+    assert isinstance(out, QPFlow)
+    assert out == apply_qm_flow(flow, t)
+    assert out.B == flow.B @ t.C and out.A_star == t.c_inv @ flow.A_star
+    with pytest.raises(NotApplicableError):
+        apply_qm(euler_discretize(flow, Fraction(1, 10)), t)
