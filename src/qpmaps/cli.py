@@ -41,8 +41,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import RationalMatrix, rank
-from .maps import QPFlow, QPSystem, State, iterate, mmatrix
-from .modelfile import LoadedModel, load_model, model_document
+from .maps import QPFlow, State, iterate, mmatrix
+from .modelfile import LoadedModel, load_model, system_fields
 from .reduction import reduce as reduce_map
 from .reduction import to_lv_canonical
 from .sampling import make_rng, random_invertible_transform, seed_from_env
@@ -75,11 +75,6 @@ def _mat(m: RationalMatrix) -> list[list[str]]:
 
 def _vec(values) -> list[str]:
     return [str(v) for v in values]
-
-
-def _map_doc(qp: QPSystem) -> dict:
-    """The model-file document of a system, without its `kind`."""
-    return {k: v for k, v in model_document(qp).items() if k != "kind"}
 
 
 def _report(command: str, inputs: dict, results: dict, exact_checks: dict,
@@ -172,7 +167,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
         })
     results = {
         "already_nonredundant": not report_obj.steps,
-        "final": _map_doc(final),
+        "final": system_fields(final),
         "steps": steps,
         "constants_of_motion": [
             {"exponents": _vec(c.exponents), "value": c.value}
@@ -208,7 +203,7 @@ def _cmd_canonical(args) -> tuple[dict, int]:
     results = {
         "embedded": lv.n > qp.n,
         "class_invariant_BM": _mat(class_invariant(qp)),
-        "lv_map": _map_doc(lv),
+        "lv_map": system_fields(lv),
         "constants_of_motion": [
             {"exponents": _vec(c.exponents), "value": c.value}
             for c in constants],
@@ -267,7 +262,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
     except OverflowDivergenceError as err:
         diverged_at = err.step_index
         divergence_note = str(err)
-        traj = iterate(qp, initial, err.step_index - 1)
+        traj = err.states
     _write_csv(args.out, traj)
     results = {
         "steps_requested": args.steps,
@@ -325,9 +320,9 @@ def _cmd_discretize(args) -> tuple[dict, int]:
                  eps if "divergence" in analyses else None)
     results: dict = {"eps": str(eps)}
     if args.scheme in ("qp", "both"):
-        results["qp_map"] = _map_doc(qp_discretize(flow, eps))
+        results["qp_map"] = system_fields(qp_discretize(flow, eps))
     if args.scheme in ("euler", "both"):
-        results["euler_map"] = _map_doc(euler_discretize(flow, eps))
+        results["euler_map"] = system_fields(euler_discretize(flow, eps))
     code = EXIT_OK
     if "divergence" in analyses:
         initial = _initial_for(loaded, args)

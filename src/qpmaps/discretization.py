@@ -22,11 +22,12 @@ from typing import Callable, Sequence
 from .errors import (
     DimensionMismatchError,
     FixedPointNotFound,
+    ModelFileError,
     NonPositiveStateError,
+    NotApplicableError,
     OrbitEscapedError,
     OverflowDivergenceError,
 )
-from .linalg import as_fraction
 from .maps import (
     QPFlow,
     QPMap,
@@ -47,9 +48,10 @@ JACOBIAN_MATCH_TOL = 1e-12
 
 
 def _coerce_eps(eps) -> Fraction:
-    e = as_fraction(eps) if not isinstance(eps, float) else Fraction(eps)
+    e = Fraction(eps)
     if e <= 0:
-        raise ValueError(f"time step must be positive, got {eps!r}")
+        raise ModelFileError(f"time step must be positive, got {eps!r}",
+                             field="eps")
     return e
 
 
@@ -332,7 +334,7 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
     exp(xi ln a) with the same ln a factor on both routes) is compared at the
     exact matrix level.  Every other family is compared pointwise on a grid
     of positive states; the verdict reports the largest discrepancy found,
-    never a claim beyond the sampled evidence.
+    never a claim beyond the sampled evidence (NotApplicableError if none).
     """
     e = _coerce_eps(eps)
     if t.n != flow.n:
@@ -368,7 +370,8 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
             worst = gap
             witness = tuple(z.x)
     if compared == 0:
-        raise ValueError("no probe state was computable on both routes")
+        raise NotApplicableError(
+            "no probe state was computable on both routes")
     return CommutativityVerdict(family=family.label, mode="pointwise",
                                 commutes=(worst == 0.0),
                                 max_discrepancy=worst, witness=witness,

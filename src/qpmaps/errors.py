@@ -43,7 +43,8 @@ class OverflowDivergenceError(QPError):
     """An exponent argument left the configured floating-point safety range.
 
     Signals a diverging orbit, not a bug. `step_index` is filled in when the
-    overflow happens inside an iteration loop.
+    overflow happens inside an iteration loop, and `states` then holds the
+    orbit computed before it.
     """
 
     def __init__(self, message: str, *, argument: float | None = None,
@@ -51,6 +52,7 @@ class OverflowDivergenceError(QPError):
         super().__init__(message)
         self.argument = argument
         self.step_index = step_index
+        self.states: list | None = None
 
 
 class FixedPointNotFound(QPError):
@@ -83,7 +85,7 @@ class OrbitEscapedError(QPError):
 
 
 class ModelFileError(QPError, ValueError):
-    """A model file failed to parse or validate.
+    """A model file, command-line value or time step failed to validate.
 
     Carries the offending path and a field locator such as 'A[0][1]' so the
     CLI can print a precise diagnostic.

@@ -2,14 +2,19 @@
 
 Every structural decision in this package (rank tests, kernels, inverses,
 basis completions) is made over exact rationals so that rank conditions are
-never at the mercy of floating-point noise.  Rank uses fraction-free
-(Bareiss-style) integer elimination after clearing denominators row by row;
-kernel, inverse and solve use exact Gauss-Jordan over `fractions.Fraction`.
+never at the mercy of floating-point noise.  The arithmetic itself runs on
+Python integers: each row is scaled by the lcm of its denominators, and one
+fraction-free (Bareiss) elimination gives rank, pivot columns and, with the
+entries above the pivots cleared as well, the reduced row echelon form that
+kernel, inverse and solve read; a pivot row becomes `Fraction`s only by one
+division at the end.  Products clear each row and column once and make one
+`Fraction` per entry from an integer dot product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -89,10 +94,7 @@ class RationalMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return self.entries[j::self.cols]
 
     def to_float_rows(self) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(float(e) for e in self.row(i))
@@ -109,17 +111,13 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                out.append(s)
-        return RationalMatrix(self.rows, other.cols, tuple(out))
+        # rows of self and columns of other cleared to integers once each;
+        # one Fraction per entry, from an integer dot product
+        left = [_cleared(self.row(i)) for i in range(self.rows)]
+        right = [_cleared(other.col(j)) for j in range(other.cols)]
+        return RationalMatrix(self.rows, other.cols, tuple(
+            Fraction(sum(map(operator.mul, a, b)), sa * sb)
+            for a, sa in left for b, sb in right))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -173,89 +171,81 @@ def column_matrix(vec: Sequence[RationalLike]) -> RationalMatrix:
 
 
 def mat_vec(mat: RationalMatrix, vec: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    if mat.cols != len(vec):
-        raise DimensionMismatchError("matrix-vector size mismatch")
-    fv = [as_fraction(v) for v in vec]
-    return tuple(sum((a * b for a, b in zip(mat.row(i), fv)), Fraction(0))
-                 for i in range(mat.rows))
+    return (mat @ column_matrix(vec)).entries
 
 
 def vec_mat(vec: Sequence[RationalLike], mat: RationalMatrix) -> tuple[Fraction, ...]:
-    if mat.rows != len(vec):
-        raise DimensionMismatchError("vector-matrix size mismatch")
-    fv = [as_fraction(v) for v in vec]
-    return tuple(sum((fv[i] * mat[i, j] for i in range(mat.rows)), Fraction(0))
-                 for j in range(mat.cols))
+    return (RationalMatrix(1, len(vec), tuple(vec)) @ mat).entries
 
 
 # -- elimination kernels ----------------------------------------------------
 
-def _integer_rows(mat: RationalMatrix) -> list[list[int]]:
-    """Row-wise denominator clearing; preserves rank and row kernels."""
-    out: list[list[int]] = []
-    for i in range(mat.rows):
-        r = mat.row(i)
-        scale = 1
-        for e in r:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-        out.append([int(e * scale) for e in r])
-    return out
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers proportional to a rational vector, and the common scale."""
+    dens = [e.denominator for e in values]
+    scale = math.lcm(*dens)
+    return [e.numerator * (scale // d) for e, d in zip(values, dens)], scale
 
 
-def rank(mat: RationalMatrix) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination on cleared rows."""
-    if mat.rows == 0 or mat.cols == 0:
-        return 0
-    rows = _integer_rows(mat)
-    m, n = mat.rows, mat.cols
-    r = 0
+def _eliminate(mat: RationalMatrix,
+               reduced: bool = False) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) elimination on denominator-cleared rows.
+
+    Returns the integer rows and the pivot columns; the pivot rows come
+    first.  Each update divides by the previous pivot, and that division is
+    exact because every entry is a minor of the cleared matrix (Bareiss,
+    Math. Comp. 22 (1968) 565-578).  The forward sweep alone gives rank and
+    pivots; `reduced` also clears the entries above each pivot, which leaves
+    every pivot row with the last pivot as its leading entry.
+    """
+    rows = [_cleared(mat.row(i))[0] for i in range(mat.rows)]
+    m = mat.rows
+    pivots: list[int] = []
     prev = 1
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, m):
-            lead = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c + 1, n):
-                num = pivot * row_i[j] - lead * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free elimination lost exactness")
-                row_i[j] = q
-            row_i[c] = 0
-        prev = pivot
-        r += 1
+    for c in range(mat.cols):
+        r = len(pivots)
         if r == m:
             break
-    return r
-
-
-def _rref(mat: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    rows = mat.row_list()
-    m, n = mat.rows, mat.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        row_r = rows[r]
+        pivot = row_r[c]
+        for i in range(0 if reduced else r + 1, m):
+            if i == r:
+                continue
+            row_i = rows[i]
+            lead = row_i[c]
+            # rows below the pivot row hold only zeros left of column c
+            for j in range(0 if i < r else c, mat.cols):
+                q, rem = divmod(pivot * row_i[j] - lead * row_r[j], prev)
+                if rem:
+                    raise AssertionError(
+                        "fraction-free elimination lost exactness")
+                row_i[j] = q
+        prev = pivot
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
     return rows, pivots
+
+
+def rank(mat: RationalMatrix) -> int:
+    """Exact rank: the pivot count of the forward elimination."""
+    return len(_eliminate(mat)[1])
+
+
+def _rref(mat: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Each pivot row of the fraction-free reduced form is divided once by its
+    pivot.
+    """
+    rows, pivots = _eliminate(mat, reduced=True)
+    zero = Fraction(0)
+    out = [[Fraction(a, row[c]) if a else zero for a in row]
+           for row, c in zip(rows, pivots)]
+    out += [[zero] * mat.cols for _ in range(mat.rows - len(pivots))]
+    return out, pivots
 
 
 def kernel_basis(mat: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -278,48 +268,42 @@ def kernel_basis(mat: RationalMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def inverse(mat: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan on the augmented matrix."""
+    """Exact inverse: the solution X of mat @ X = I."""
     if mat.rows != mat.cols:
         raise DimensionMismatchError("inverse needs a square matrix")
-    n = mat.rows
-    if n == 0:
-        return mat
-    aug, pivots = _rref(hstack(mat, RationalMatrix.identity(n)))
-    if len(pivots) < n or pivots != list(range(n)):
-        raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n}")
-    return RationalMatrix.from_rows([r[n:] for r in aug], cols=n)
+    return solve(mat, RationalMatrix.identity(mat.rows))
 
 
 def solve(mat: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
-    """Solve mat @ X = rhs exactly for square invertible mat."""
+    """Solve mat @ X = rhs exactly for square invertible mat.
+
+    X is read off the reduced form of the augmented matrix (mat | rhs).
+    """
     if mat.rows != mat.cols:
         raise DimensionMismatchError("solve needs a square matrix")
     if rhs.rows != mat.rows:
         raise DimensionMismatchError("right-hand side row mismatch")
     n = mat.rows
     aug, pivots = _rref(hstack(mat, rhs))
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise SingularMatrixError("coefficient matrix is singular")
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError(
+            f"coefficient matrix has rank {sum(p < n for p in pivots)} < {n}")
     return RationalMatrix.from_rows([r[n:] for r in aug], cols=rhs.cols)
 
 
 def select_independent_rows(mat: RationalMatrix,
                             count: int | None = None) -> list[int]:
-    """Greedily pick linearly independent row indices in ascending order."""
-    target = rank(mat) if count is None else count
-    chosen: list[int] = []
-    current = RationalMatrix(0, mat.cols, ())
-    for i in range(mat.rows):
-        if len(chosen) == target:
-            break
-        candidate = vstack(current, mat.take_rows([i]))
-        if rank(candidate) > len(chosen):
-            chosen.append(i)
-            current = candidate
-    if len(chosen) < target:
+    """Greedily pick linearly independent row indices in ascending order.
+
+    Row i is picked when it is independent of the rows before it, which
+    makes the picks the pivot columns of the transpose.
+    """
+    pivots = _eliminate(mat.transpose())[1]
+    target = len(pivots) if count is None else count
+    if len(pivots) < target:
         raise RankDeficientInputError(
-            f"only {len(chosen)} independent rows, needed {target}")
-    return chosen
+            f"only {len(pivots)} independent rows, needed {target}")
+    return pivots[:target]
 
 
 def complete_to_invertible(partial: RationalMatrix,
@@ -338,25 +322,14 @@ def complete_to_invertible(partial: RationalMatrix,
     if side not in ("below", "above"):
         raise ValueError(f"unknown side {side!r}")
 
-    n = partial.cols
-    if partial.rows > n:
+    n, k = partial.cols, partial.rows
+    if k > n:
         raise DimensionMismatchError("block is taller than its width")
-    if rank(partial) != partial.rows:
+    # the pivot columns of (partial^T | I) are the block's rows, when they are
+    # independent, then the greedy choice of standard basis vectors
+    pivots = _eliminate(hstack(partial.transpose(),
+                               RationalMatrix.identity(n)))[1]
+    if pivots[:k] != list(range(k)):
         raise RankDeficientInputError("block does not have full row rank")
-
-    added = RationalMatrix(0, n, ())
-    stacked = partial
-    got = partial.rows
-    for k in range(n):
-        if got == n:
-            break
-        basis_row = RationalMatrix.from_rows(
-            [[Fraction(1) if j == k else Fraction(0) for j in range(n)]])
-        trial = vstack(stacked, basis_row)
-        if rank(trial) > got:
-            stacked = trial
-            added = vstack(added, basis_row)
-            got += 1
-    if got != n:
-        raise RankDeficientInputError("completion failed to reach full rank")
+    added = RationalMatrix.identity(n).take_rows([p - k for p in pivots[k:]])
     return vstack(partial, added) if side == "below" else vstack(added, partial)

@@ -13,6 +13,7 @@ avoid domain errors for non-integer exponents.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +43,17 @@ from .linalg import (
 DEFAULT_EXP_BOUND = 700.0
 
 FIXED_POINT_RESIDUAL = 1e-9
+
+# the largest argument that math.exp takes without raising OverflowError
+EXP_MAX = math.log(sys.float_info.max)
+
+
+def checked_exp(t: float) -> float:
+    """exp(t), raising OverflowDivergenceError where it would overflow."""
+    if t > EXP_MAX:
+        raise OverflowDivergenceError(
+            f"exp argument {t:.6g} is past the float range", argument=t)
+    return math.exp(t)
 
 
 @dataclass(frozen=True)
@@ -223,16 +235,18 @@ def step(qp: QPMap, s: State, exp_bound: float = DEFAULT_EXP_BOUND) -> State:
 
 def iterate(qp: QPMap, s0: State, steps: int,
             exp_bound: float = DEFAULT_EXP_BOUND) -> list[State]:
-    """Trajectory [s0, F(s0), ..., F^steps(s0)]; failures carry the step index."""
+    """Orbit [s0, F(s0), ..., F^steps(s0)]; failures carry step and states."""
     traj = [s0]
     cur = s0
     for k in range(steps):
         try:
             cur = step(qp, cur, exp_bound)
         except OverflowDivergenceError as err:
-            raise OverflowDivergenceError(
+            diverged = OverflowDivergenceError(
                 f"orbit diverged at step {k + 1}: {err}",
-                argument=err.argument, step_index=k + 1) from err
+                argument=err.argument, step_index=k + 1)
+            diverged.states = traj
+            raise diverged from err
         traj.append(cur)
     return traj
 
@@ -293,7 +307,7 @@ def find_interior_fixed_point(qp: QPMap) -> State:
             "B is singular; reduce or embed the map before fixed-point solving")
     b_inv = inverse(qp.B).to_float_rows()
     log_q = [math.log(float(v)) for v in q]
-    x = tuple(math.exp(sum(b * lq for b, lq in zip(row, log_q)))
+    x = tuple(checked_exp(sum(b * lq for b, lq in zip(row, log_q)))
               for row in b_inv)
     fp = State(x)
     nxt = step(qp, fp)

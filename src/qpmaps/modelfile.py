@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ModelFileError, NonPositiveStateError, QPError
+from .errors import (ModelFileError, NonPositiveStateError,
+                     NotApplicableError, QPError)
 from .linalg import RationalMatrix
 from .maps import QPFlow, QPMap, QPSystem, State
 
@@ -136,18 +137,26 @@ def load_model(path: str | Path) -> LoadedModel:
     return parse_model(doc, path=str(p))
 
 
-def model_document(model: QPSystem, initial: State | None = None,
-                   name: str | None = None,
-                   description: str | None = None) -> dict:
-    """Serializable document for a map or flow; inverse of parse_model."""
-    doc = {
-        "kind": "flow" if isinstance(model, QPFlow) else "map",
+def system_fields(model: QPSystem) -> dict:
+    """The sizes and exact matrices of any system, as document fields."""
+    return {
         "n": model.n,
         "m": model.m,
         "lambda": [str(v) for v in model.lam],
         "A": [[str(v) for v in model.A.row(i)] for i in range(model.n)],
         "B": [[str(v) for v in model.B.row(j)] for j in range(model.m)],
     }
+
+
+def model_document(model: QPSystem, initial: State | None = None,
+                   name: str | None = None,
+                   description: str | None = None) -> dict:
+    """Serializable document for a map or flow; inverse of parse_model."""
+    if not isinstance(model, (QPMap, QPFlow)):  # e.g. an Euler map
+        raise NotApplicableError(f"the model-file format has no kind for a "
+                                 f"{type(model).__name__}; save maps or flows")
+    doc = {"kind": "flow" if isinstance(model, QPFlow) else "map",
+           **system_fields(model)}
     if initial is not None:
         doc["initial"] = [repr(v) for v in initial]
     if name:

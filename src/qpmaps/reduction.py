@@ -43,7 +43,7 @@ from .linalg import (
     vstack,
     _rref,
 )
-from .maps import QPFlow, QPMap, QPSystem, State, mmatrix
+from .maps import QPFlow, QPMap, QPSystem, State, checked_exp, mmatrix
 from .transforms import QMTransform, apply_qm, phi, require_conjugable
 
 
@@ -216,7 +216,7 @@ def reduce_step3(qp: QPMap,
     proj = full_basis @ proj_core @ inverse(full_basis)
     constraint = proj.take_rows(select_independent_rows(proj, n - r))
     d = complete_to_invertible(constraint, side="above")
-    t = QMTransform(inverse(d))
+    t = QMTransform(d).inverse_transform()
     mapped = apply_qm(qp, t)
     new_m = mmatrix(mapped)
     if any(new_m[i, j] != 0 for i in range(r, n) for j in range(new_m.cols)):
@@ -231,7 +231,7 @@ def reduce_step3(qp: QPMap,
         vals = []
         for j in range(m):
             log_q = sum(b_rows[j][k] * math.log(y0[k]) for k in range(r, n))
-            qf = math.exp(log_q)
+            qf = checked_exp(log_q)
             if not (math.isfinite(qf) and qf > 0.0):
                 raise OverflowDivergenceError(
                     f"initial-value factor for quasimonomial {j} left the "
@@ -288,8 +288,8 @@ def evaluate_constant(c: ConstantOfMotion, s: State) -> float:
     """Value of the quasimonomial prod_k x_k**e_k at a state, in log space."""
     if len(c.exponents) != len(s):
         raise DimensionMismatchError("exponent vector does not match state")
-    return math.exp(sum(float(e) * lx
-                        for e, lx in zip(c.exponents, s.logs()) if e))
+    return checked_exp(sum(float(e) * lx
+                           for e, lx in zip(c.exponents, s.logs()) if e))
 
 
 def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
@@ -391,7 +391,7 @@ def to_lv_canonical(qp: QPSystem) -> tuple[QPSystem, tuple[ConstantOfMotion, ...
         raise NotNonRedundantError(
             "B must have full column rank n; run reduce first")
     lifted = qp if m == n else embed(qp)
-    t = QMTransform(inverse(lifted.B))
+    t = QMTransform(lifted.B).inverse_transform()
     constants = tuple(
         ConstantOfMotion(exponents=t.C.row(j), value=1.0)
         for j in range(n, m))

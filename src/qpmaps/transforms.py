@@ -28,7 +28,7 @@ from .linalg import (
     solve,
 )
 from .maps import (QPFlow, QPMap, QPSystem, State, _single_unit_index,
-                   mmatrix, step)
+                   checked_exp, mmatrix, step)
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,10 @@ class QMTransform:
         return self.C.rows
 
     def inverse_transform(self) -> "QMTransform":
-        return QMTransform(self.c_inv)
+        """The transform by C^-1, from the stored pair without inverting."""
+        t = object.__new__(QMTransform)
+        t.__dict__.update(C=self.c_inv, c_inv=self.C)
+        return t
 
 
 def require_conjugable(qp: QPSystem) -> None:
@@ -89,7 +92,7 @@ def _power_product(rows: tuple[tuple[float, ...], ...], s: State) -> State:
             # row e_j just relabels the coordinate; keep it exact
             out.append(s[unit])
         else:
-            out.append(math.exp(
+            out.append(checked_exp(
                 math.fsum(c * lx for c, lx in zip(row, logs) if c)))
     return State(tuple(out))
 

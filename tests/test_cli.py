@@ -313,3 +313,50 @@ def test_discretize_caps_steps_from_horizon(capsys, flow_model):
     # without an orbit to run, the horizon sets no run length
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
+
+
+def test_reduce_factor_beyond_the_float_range_exits_4(capsys, tmp_path):
+    # x2 is conserved and enters as x2**3; at x2 = 1e300 the step-3 factor
+    # is past the largest double
+    qp = QPMap(lam=(Fraction(1, 2), 0), A=M([[-1, 1], [0, 0]]),
+               B=M([[1, 0], [0, 3]]))
+    path = tmp_path / "cube.json"
+    save_model(qp, path, initial=State((1.0, 1e300)))
+    code, out, err = run_cli(capsys, "reduce", str(path))
+    assert code == 4
+    assert out == "" and "divergence" in err and "Traceback" not in err
+
+
+def test_discretize_without_computable_probes_exits_3(capsys, tmp_path):
+    # eps * lam = -100 sends every Euler probe out of the positive orthant
+    flow = QPFlow(lam_star=(-100,), A_star=M([[0]]), B=M([[1]]))
+    path = tmp_path / "steep.json"
+    save_model(flow, path)
+    code, out, err = run_cli(capsys, "discretize", str(path), "--eps", "1",
+                             "--analysis", "commutativity")
+    assert code == 3
+    assert out == "" and "no probe state" in err
+
+
+def test_simulate_divergence_runs_the_orbit_once(capsys, tmp_path,
+                                                 monkeypatch):
+    import qpmaps.maps
+
+    calls = []
+    real_step = qpmaps.maps.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(qpmaps.maps, "step", counting_step)
+    # x' = x exp(x) from 5 diverges at step 2
+    path = tmp_path / "fast.json"
+    save_model(QPMap(lam=(0,), A=M([[1]]), B=M([[1]])), path)
+    csv_path = tmp_path / "fast.csv"
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--steps", "10",
+                           "--initial", "5.0", "--out", str(csv_path))
+    assert code == 4
+    assert report_of(out)["results"]["diverged_at_step"] == 2
+    assert len(csv_path.read_text().strip().splitlines()) == 1 + 2
+    assert len(calls) == 2

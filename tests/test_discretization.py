@@ -21,7 +21,12 @@ from qpmaps import (
     jacobian,
     qp_discretize,
 )
-from qpmaps.errors import OrbitEscapedError
+from qpmaps.errors import (
+    ModelFileError,
+    NotApplicableError,
+    OrbitEscapedError,
+    QPError,
+)
 from qpmaps.linalg import RationalMatrix
 from qpmaps.sampling import (
     make_rng,
@@ -236,3 +241,19 @@ def test_positivity_asymmetry_witness():
     assert out[0] > 0.0
     res = euler_step(euler_discretize(flow, 1), State((3.0,)))
     assert not res.positive
+
+
+def test_nonpositive_time_step_is_a_package_error():
+    flow = QPFlow(lam_star=(1,), A_star=M([[-1]]), B=M([[1]]))
+    for eps in (0, Fraction(-1, 10), -0.5):
+        with pytest.raises(ModelFileError):
+            qp_discretize(flow, eps)
+    with pytest.raises(QPError):
+        euler_discretize(flow, 0)
+
+
+def test_commutativity_without_computable_probes_is_not_applicable():
+    flow = QPFlow(lam_star=(-100,), A_star=M([[0]]), B=M([[1]]))
+    t = random_invertible_transform(make_rng("steep"), 1)
+    with pytest.raises(NotApplicableError, match="no probe state"):
+        check_commutativity(flow, t, 1, DiscretizationFamily.euler_add())

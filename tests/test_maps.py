@@ -230,3 +230,30 @@ def test_fixed_point_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(qpmaps.maps, "solve", broken_solve)
     with pytest.raises(ZeroDivisionError):
         find_interior_fixed_point(lv1d())
+
+
+def test_fixed_point_beyond_the_float_range_is_divergence():
+    # q = 10 solves lam + A q = 0, and x = q**1000 overflows a double
+    qp = QPMap(lam=(10,), A=M([[-1]]), B=M([[Fraction(1, 1000)]]))
+    with pytest.raises(OverflowDivergenceError):
+        find_interior_fixed_point(qp)
+
+
+def test_divergence_carries_the_orbit_before_it(monkeypatch):
+    import qpmaps.maps
+
+    calls = []
+    real_step = qpmaps.maps.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(qpmaps.maps, "step", counting_step)
+    # x' = x exp(x): from 5 the first argument is 5, the second 5 e^5 > 700
+    qp = QPMap(lam=(0,), A=M([[1]]), B=M([[1]]))
+    with pytest.raises(OverflowDivergenceError) as info:
+        iterate(qp, State((5.0,)), 10)
+    assert info.value.step_index == 2
+    assert info.value.states == [State((5.0,)), real_step(qp, State((5.0,)))]
+    assert len(calls) == 2

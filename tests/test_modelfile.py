@@ -119,3 +119,17 @@ def test_parse_does_not_mask_unexpected_errors(monkeypatch):
     monkeypatch.setattr(qpmaps.modelfile, "QPMap", broken_map)
     with pytest.raises(ZeroDivisionError):
         parse_model(sample_doc())
+
+
+def test_euler_map_is_not_saved_as_a_map(tmp_path):
+    from qpmaps import euler_discretize
+    from qpmaps.errors import NotApplicableError
+
+    flow = QPFlow(lam_star=(1,), A_star=M([[-1]]), B=M([[1]]))
+    em = euler_discretize(flow, Fraction(1, 10))
+    path = tmp_path / "euler.json"
+    with pytest.raises(NotApplicableError):
+        save_model(em, path)
+    assert not path.exists()
+    with pytest.raises(NotApplicableError):
+        model_document(em)

@@ -32,6 +32,7 @@ from qpmaps.errors import (
     DimensionMismatchError,
     NotApplicableError,
     NotNonRedundantError,
+    OverflowDivergenceError,
     RankDeficientInputError,
 )
 from qpmaps.linalg import RationalMatrix, inverse, rank
@@ -508,3 +509,24 @@ def test_reduction_machinery_rejects_euler_maps():
     for call in (to_lv_canonical, embed, reduce):
         with pytest.raises(NotApplicableError):
             call(em)
+
+
+def conserved_cube_map():
+    """x2 is conserved and enters through the quasimonomial x2**3."""
+    return QPMap(lam=(Fraction(1, 2), 0), A=M([[-1, 1], [0, 0]]),
+                 B=M([[1, 0], [0, 3]]))
+
+
+def test_step3_factor_beyond_the_float_range_is_divergence():
+    # the decoupled factor is (1e300)**3, past the largest double
+    with pytest.raises(OverflowDivergenceError):
+        reduce_step3(conserved_cube_map(), State((1.0, 1e300)))
+    with pytest.raises(OverflowDivergenceError):
+        reduce(conserved_cube_map(), State((1.0, 1e300)))
+
+
+def test_constant_beyond_the_float_range_is_divergence():
+    c = ConstantOfMotion(exponents=(Fraction(3),))
+    assert evaluate_constant(c, State((1e100,))) == pytest.approx(1e300)
+    with pytest.raises(OverflowDivergenceError):
+        evaluate_constant(c, State((1e300,)))

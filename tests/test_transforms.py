@@ -20,6 +20,7 @@ from qpmaps import (
 from qpmaps.errors import (
     DimensionMismatchError,
     NotNonRedundantError,
+    OverflowDivergenceError,
     NotSameClassError,
     SingularMatrixError,
 )
@@ -188,3 +189,28 @@ def test_apply_qm_keeps_flows_and_rejects_euler_maps():
     assert out.B == flow.B @ t.C and out.A_star == t.c_inv @ flow.A_star
     with pytest.raises(NotApplicableError):
         apply_qm(euler_discretize(flow, Fraction(1, 10)), t)
+
+
+def test_phi_beyond_the_float_range_is_divergence():
+    t = QMTransform(M([[3]]))
+    assert phi_inverse(t, State((1e100,)))[0] == pytest.approx(1e300)
+    with pytest.raises(OverflowDivergenceError):
+        phi_inverse(t, State((1e300,)))
+    with pytest.raises(OverflowDivergenceError):
+        phi(t.inverse_transform(), State((1e300,)))
+
+
+def test_inverse_transform_swaps_the_stored_pair(monkeypatch):
+    import qpmaps.transforms
+
+    t = QMTransform(M([[2, 1], [1, 1]]))
+
+    def no_inverse(mat):
+        raise AssertionError("inverse_transform inverted again")
+
+    monkeypatch.setattr(qpmaps.transforms, "inverse", no_inverse)
+    back = t.inverse_transform()
+    monkeypatch.undo()
+    assert back.C == t.c_inv and back.c_inv == t.C
+    assert back == QMTransform(t.c_inv)
+    assert back.inverse_transform() == t
