@@ -33,9 +33,8 @@ from .maps import (
     QPMap,
     QPSystem,
     State,
-    _float_parts,
-    _qm_values,
-    DEFAULT_EXP_BOUND,
+    _field,
+    _jacobian_rows,
     find_interior_fixed_point,
     jacobian,
     step,
@@ -86,42 +85,15 @@ class EulerStepResult:
 
 def euler_step(em: EulerMap, s: State) -> EulerStepResult:
     """One Euler update x_i (1 + lam_i + sum_j A_ij q_j); may be nonpositive."""
-    if len(s) != em.n:
-        raise DimensionMismatchError(f"state length {len(s)} != n={em.n}")
-    lam_f, a_rows, b_rows = _float_parts(em.lam, em.A, em.B)
-    q = _qm_values(b_rows, s, DEFAULT_EXP_BOUND)
-    vals = []
-    for i in range(em.n):
-        acc = lam_f[i]
-        for a, qj in zip(a_rows[i], q):
-            if a:
-                acc += a * qj
-        vals.append(s[i] * (1.0 + acc))
-    values = tuple(vals)
+    values = tuple(x * (1.0 + f) for x, f in zip(s, _field(em, s)[1]))
     positive = all(math.isfinite(v) and v > 0.0 for v in values)
     return EulerStepResult(values=values, positive=positive)
 
 
 def euler_jacobian(em: EulerMap, s: State) -> tuple[tuple[float, ...], ...]:
     """Analytic Jacobian of the Euler update at a positive state."""
-    lam_f, a_rows, b_rows = _float_parts(em.lam, em.A, em.B)
-    if len(s) != em.n:
-        raise DimensionMismatchError(f"state length {len(s)} != n={em.n}")
-    q = _qm_values(b_rows, s, DEFAULT_EXP_BOUND)
-    n = em.n
-    fields = [lam_f[i] + sum(a * qj for a, qj in zip(a_rows[i], q))
-              for i in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for l in range(n):
-            inner = sum(a_rows[i][j] * b_rows[j][l] * q[j] for j in range(em.m))
-            val = s[i] * inner / s[l]
-            if i == l:
-                val += 1.0 + fields[i]
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    q, xi = _field(em, s)
+    return _jacobian_rows(em, s, q, [1.0] * em.n, [1.0 + f for f in xi])
 
 
 # -- trajectory comparison ----------------------------------------------------
@@ -297,25 +269,25 @@ class CommutativityVerdict:
     note: str = ""
 
 
-def _family_update(family: DiscretizationFamily, flow: QPFlow, eps: Fraction,
+def _family_update(family: DiscretizationFamily, qp: QPSystem,
                    s: State) -> tuple[float, ...]:
-    """Apply one step of the family-discretized flow; raw output vector."""
-    lam, a = _scaled(flow, eps)
-    lam_f, a_rows, b_rows = _float_parts(lam, a, flow.B)
-    q = _qm_values(b_rows, s, DEFAULT_EXP_BOUND)
+    """One step of the family's update shape; raw output vector.
+
+    Only the coefficients of `qp` are read: (eps lam*, eps A*, B) of the
+    discretized flow.
+    """
     out = []
-    for i in range(flow.n):
-        xi = lam_f[i] + sum(c * qj for c, qj in zip(a_rows[i], q))
+    for x, xi in zip(s, _field(qp, s)[1]):
         if family.kind is FamilyKind.QP_EXP:
-            out.append(s[i] * math.exp(xi))
+            out.append(x * math.exp(xi))
         elif family.kind is FamilyKind.POWER_BASE:
-            out.append(s[i] * family.base ** xi)
+            out.append(x * family.base ** xi)
         elif family.kind is FamilyKind.EULER_ADD:
-            out.append(s[i] * (1.0 + xi))
+            out.append(x * (1.0 + xi))
         elif family.kind is FamilyKind.CUSTOM_MULTIPLICATIVE:
-            out.append(s[i] * family.shape(xi))
+            out.append(x * family.shape(xi))
         else:
-            out.append(s[i] + family.shape(xi))
+            out.append(x + family.shape(xi))
     return tuple(out)
 
 
@@ -351,15 +323,17 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
                                     commutes=(lhs == rhs), note=note)
 
     probes = list(states) if states is not None else _default_probe_states(flow.n)
-    flow_t = apply_qm(flow, t)
+    # both routes discretized once, so each system's float form is built once
+    disc = qp_discretize(flow, e)
+    disc_t = qp_discretize(apply_qm(flow, t), e)
     worst = 0.0
     witness: tuple[float, ...] | None = None
     compared = 0
     for z in probes:
         try:
-            route_a = _family_update(family, flow_t, e, z)
+            route_a = _family_update(family, disc_t, z)
             x = phi_inverse(t, z)
-            raw = _family_update(family, flow, e, x)
+            raw = _family_update(family, disc, x)
             route_b = phi(t, State(raw))
         except (NonPositiveStateError, OverflowDivergenceError, ValueError,
                 OverflowError):

@@ -5,9 +5,11 @@ A QP map updates each positive variable multiplicatively,
     x_i(p+1) = x_i(p) * exp(lam_i + sum_j A[i][j] * prod_k x_k(p)**B[j][k]),
 
 so the positive orthant is invariant.  Coefficients are stored as exact
-rationals (structural modules reuse them exactly); they are converted to
-floats only at evaluation time.  Quasimonomials are evaluated in log space to
-avoid domain errors for non-integer exponents.
+rationals (structural modules reuse them exactly).  Each system converts
+them to floats once, on its first float use, and every float reader (step,
+Jacobians, Euler and family updates) reads one kernel that computes the field
+xi_i = lam_i + sum_j A[i][j] q_j as a correctly rounded fsum.  Quasimonomials
+are evaluated in log space to avoid domain errors for non-integer exponents.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -83,6 +86,49 @@ class State:
         return tuple(math.log(v) for v in self.x)
 
 
+def power_terms(rows: tuple[tuple[float, ...], ...]) -> tuple:
+    """Per row of float exponents: the index j when the row is the basis
+    vector e_j, else its nonzero (k, c) pairs."""
+    out = []
+    for row in rows:
+        pairs = tuple((k, c) for k, c in enumerate(row) if c)
+        unit = len(pairs) == 1 and pairs[0][1] == 1.0
+        out.append(pairs[0][0] if unit else pairs)
+    return tuple(out)
+
+
+def power_values(terms: tuple, s: State, bound: float = math.inf) -> list[float]:
+    """prod_k x_k**c_k for each row of power_terms, in log space.
+
+    A unit row e_j gives x_j itself, exactly, and needs no logs.  A log-value
+    above `bound`, or past the float range, raises OverflowDivergenceError.
+    """
+    logs = None
+    out = []
+    for term in terms:
+        if type(term) is int:
+            out.append(s.x[term])
+            continue
+        if logs is None:
+            logs = s.logs()
+        t = math.fsum([c * logs[k] for k, c in term])
+        if t > bound:
+            raise OverflowDivergenceError(
+                f"quasimonomial log-value {t:.3g} exceeds bound {bound}",
+                argument=t)
+        out.append(checked_exp(t))
+    return out
+
+
+class FloatForm(NamedTuple):
+    """The float data every orbit reader uses, built once per system."""
+
+    lam: tuple[float, ...]
+    a_terms: tuple[tuple[tuple[int, float], ...], ...]  # nonzero (j, A_ij)
+    b_rows: tuple[tuple[float, ...], ...]
+    b_terms: tuple                                      # power_terms(b_rows)
+
+
 @dataclass(frozen=True)
 class QPSystem:
     """The validated data (lam, A, B) shared by maps, flows and Euler maps.
@@ -125,6 +171,17 @@ class QPSystem:
     def m(self) -> int:
         return self.B.rows
 
+    @cached_property
+    def _float_form(self) -> FloatForm:
+        # built on first float use, never in __post_init__: the structural
+        # code builds many systems it never steps
+        b_rows = self.B.to_float_rows()
+        return FloatForm(
+            lam=tuple(float(v) for v in self.lam),
+            a_terms=tuple(tuple((j, a) for j, a in enumerate(row) if a)
+                          for row in self.A.to_float_rows()),
+            b_rows=b_rows, b_terms=power_terms(b_rows))
+
 
 @dataclass(frozen=True)
 class QPMap(QPSystem):
@@ -152,67 +209,39 @@ def mmatrix(obj: QPSystem) -> RationalMatrix:
     return hstack(column_matrix(obj.lam), obj.A)
 
 
-@lru_cache(maxsize=1024)
-def _float_parts(lam: tuple[Fraction, ...], A: RationalMatrix,
-                 B: RationalMatrix):
-    return (tuple(float(v) for v in lam), A.to_float_rows(), B.to_float_rows())
+def _field(qp: QPSystem, s: State, exp_bound: float = DEFAULT_EXP_BOUND
+           ) -> tuple[list[float], list[float]]:
+    """The quasimonomials q and the field xi_i = lam_i + sum_j A[i][j] q_j.
 
-
-def _single_unit_index(row: tuple[float, ...]) -> int | None:
-    """Index j when the row is the standard basis vector e_j, else None."""
-    idx = None
-    for j, b in enumerate(row):
-        if b == 0.0:
-            continue
-        if b != 1.0 or idx is not None:
-            return None
-        idx = j
-    return idx
-
-
-def _qm_values(B_rows: tuple[tuple[float, ...], ...], s: "State",
-               exp_bound: float) -> list[float]:
-    logs = s.logs()
-    out = []
-    for row in B_rows:
-        unit = _single_unit_index(row)
-        if unit is not None:
-            # exponent row e_j: the quasimonomial is x_j itself, exactly
-            out.append(s[unit])
-            continue
-        t = math.fsum(b * lx for b, lx in zip(row, logs) if b)
-        if t > exp_bound:
-            raise OverflowDivergenceError(
-                f"quasimonomial log-value {t:.3g} exceeds bound {exp_bound}",
-                argument=t)
-        out.append(math.exp(t))
-    return out
+    Every float reader derives from this one kernel; each xi_i is one
+    correctly rounded fsum over the nonzero terms.
+    """
+    if len(s) != qp.n:
+        raise DimensionMismatchError(f"state length {len(s)} != n={qp.n}")
+    form = qp._float_form
+    q = power_values(form.b_terms, s, exp_bound)
+    xi = [math.fsum([lam_i] + [a * q[j] for j, a in terms])
+          for lam_i, terms in zip(form.lam, form.a_terms)]
+    return q, xi
 
 
 def quasimonomials(qp: QPSystem, s: State) -> tuple[float, ...]:
     """Evaluate all m quasimonomials prod_k x_k**B[j][k] at the state."""
     if len(s) != qp.n:
         raise DimensionMismatchError(f"state length {len(s)} != n={qp.n}")
-    _, _, B_rows = _float_parts(qp.lam, qp.A, qp.B)
-    return tuple(_qm_values(B_rows, s, DEFAULT_EXP_BOUND))
+    return tuple(power_values(qp._float_form.b_terms, s, DEFAULT_EXP_BOUND))
 
 
 def field_arguments(qp: QPMap, s: State,
                     exp_bound: float = DEFAULT_EXP_BOUND) -> tuple[float, ...]:
     """The n exponent arguments lam_i + sum_j A[i][j] q_j(x)."""
-    lam_f, A_rows, B_rows = _float_parts(qp.lam, qp.A, qp.B)
-    if len(s) != qp.n:
-        raise DimensionMismatchError(f"state length {len(s)} != n={qp.n}")
-    q = _qm_values(B_rows, s, exp_bound)
-    return tuple(
-        math.fsum([lam_f[i]] + [a * qj for a, qj in zip(A_rows[i], q) if a])
-        for i in range(qp.n))
+    return tuple(_field(qp, s, exp_bound)[1])
 
 
 def step(qp: QPMap, s: State, exp_bound: float = DEFAULT_EXP_BOUND) -> State:
     """One update of the map; strictly positive output or OverflowDivergenceError."""
     try:
-        args = field_arguments(qp, s, exp_bound)
+        args = _field(qp, s, exp_bound)[1]
         out = []
         for i, arg in enumerate(args):
             if abs(arg) > exp_bound:
@@ -251,6 +280,24 @@ def iterate(qp: QPMap, s0: State, steps: int,
     return traj
 
 
+def _jacobian_rows(qp: QPSystem, s: State, q: list[float], gain: list[float],
+                   diag: list[float]) -> tuple[tuple[float, ...], ...]:
+    """Entries x_i gain_i sum_j A[i][j] B[j][l] q_j / x_l + delta_il diag_i."""
+    form = qp._float_form
+    b_rows = form.b_rows
+    rows = []
+    for i, terms in enumerate(form.a_terms):
+        row = []
+        for l in range(qp.n):
+            inner = sum(a * b_rows[j][l] * q[j] for j, a in terms)
+            val = s[i] * gain[i] * inner / s[l]
+            if i == l:
+                val += diag[i]
+            row.append(val)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def jacobian(qp: QPMap, s: State) -> tuple[tuple[float, ...], ...]:
     """Analytic Jacobian of one map step at the state.
 
@@ -258,25 +305,9 @@ def jacobian(qp: QPMap, s: State) -> tuple[tuple[float, ...], ...]:
         delta_il * E_i + x_i * E_i * sum_j A[i][j] B[j][l] q_j / x_l
     with E_i = exp(lam_i + sum_j A[i][j] q_j).
     """
-    lam_f, A_rows, B_rows = _float_parts(qp.lam, qp.A, qp.B)
-    if len(s) != qp.n:
-        raise DimensionMismatchError(f"state length {len(s)} != n={qp.n}")
-    q = _qm_values(B_rows, s, DEFAULT_EXP_BOUND)
-    n = qp.n
-    exps = [math.exp(lam_f[i] + sum(a * qj for a, qj in zip(A_rows[i], q)))
-            for i in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for l in range(n):
-            inner = sum(A_rows[i][j] * B_rows[j][l] * q[j]
-                        for j in range(qp.m))
-            val = s[i] * exps[i] * inner / s[l]
-            if i == l:
-                val += exps[i]
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    q, xi = _field(qp, s)
+    exps = [math.exp(f) for f in xi]
+    return _jacobian_rows(qp, s, q, exps, exps)
 
 
 def find_interior_fixed_point(qp: QPMap) -> State:

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .linalg import (
     RationalMatrix,
+    _eliminate,
     complete_to_invertible,
     hstack,
     inverse,
@@ -41,7 +42,6 @@ from .linalg import (
     select_independent_rows,
     vec_mat,
     vstack,
-    _rref,
 )
 from .maps import QPFlow, QPMap, QPSystem, State, checked_exp, mmatrix
 from .transforms import QMTransform, apply_qm, phi, require_conjugable
@@ -147,7 +147,7 @@ def _kernel_decouple(qp: QPMap, kind: StepKind) -> tuple[QPMap, StepRecord]:
     B to the front.
     """
     n = qp.n
-    _, pivots = _rref(qp.B)
+    pivots = _eliminate(qp.B)[1]
     r = len(pivots)
     order = pivots + [c for c in range(n) if c not in pivots]
     perm = RationalMatrix.identity(n).take_cols(order)
@@ -203,11 +203,11 @@ def reduce_step3(qp: QPMap,
         raise RankDeficientInputError(
             "B must have full column rank; run reduce_step2 first")
     big_m = mmatrix(qp)
-    r = rank(big_m)
+    col_pivots = _eliminate(big_m)[1]
+    r = len(col_pivots)
     if r == n:
         return None
 
-    _, col_pivots = _rref(big_m)
     basis_cols = big_m.take_cols(col_pivots)
     full_basis = complete_to_invertible(basis_cols, side="right")
     proj_core = RationalMatrix.from_rows(

@@ -10,8 +10,8 @@ invariant for non-redundant maps of equal size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DimensionMismatchError,
@@ -27,8 +27,8 @@ from .linalg import (
     select_independent_rows,
     solve,
 )
-from .maps import (QPFlow, QPMap, QPSystem, State, _single_unit_index,
-                   checked_exp, mmatrix, step)
+from .maps import (QPFlow, QPMap, QPSystem, State, mmatrix, power_terms,
+                   power_values, step)
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,18 @@ class QMTransform:
     def n(self) -> int:
         return self.C.rows
 
+    @cached_property
+    def _power_terms(self) -> tuple[tuple, tuple]:
+        """power_terms of the float rows of (C, C^-1), built on first use."""
+        return (power_terms(self.C.to_float_rows()),
+                power_terms(self.c_inv.to_float_rows()))
+
     def inverse_transform(self) -> "QMTransform":
         """The transform by C^-1, from the stored pair without inverting."""
         t = object.__new__(QMTransform)
         t.__dict__.update(C=self.c_inv, c_inv=self.C)
+        if "_power_terms" in self.__dict__:
+            t.__dict__["_power_terms"] = self._power_terms[::-1]
         return t
 
 
@@ -83,32 +91,18 @@ def apply_qm(qp: QPSystem, t: QMTransform) -> QPSystem:
 apply_qm_flow = apply_qm
 
 
-def _power_product(rows: tuple[tuple[float, ...], ...], s: State) -> State:
-    logs = s.logs()
-    out = []
-    for row in rows:
-        unit = _single_unit_index(row)
-        if unit is not None:
-            # row e_j just relabels the coordinate; keep it exact
-            out.append(s[unit])
-        else:
-            out.append(checked_exp(
-                math.fsum(c * lx for c, lx in zip(row, logs) if c)))
-    return State(tuple(out))
-
-
 def phi(t: QMTransform, s: State) -> State:
     """New coordinates y with y_i = prod_j x_j^(C^-1)[i][j], in log space."""
     if t.n != len(s):
         raise DimensionMismatchError("state length does not match transform")
-    return _power_product(t.c_inv.to_float_rows(), s)
+    return State(tuple(power_values(t._power_terms[1], s)))
 
 
 def phi_inverse(t: QMTransform, s: State) -> State:
     """Original coordinates x_i = prod_j y_j^C[i][j]."""
     if t.n != len(s):
         raise DimensionMismatchError("state length does not match transform")
-    return _power_product(t.C.to_float_rows(), s)
+    return State(tuple(power_values(t._power_terms[0], s)))
 
 
 def conjugacy_residual(map_f: QPMap, map_g: QPMap, t: QMTransform,
