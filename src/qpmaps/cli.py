@@ -19,9 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .discretization import (
+    EULER_FIXED_POINT_TOL,
+    JACOBIAN_MATCH_TOL,
     DiscretizationFamily,
     check_commutativity,
     check_fixed_point_coincidence,
+    coerce_eps,
     compare_discretizations,
     euler_discretize,
     qp_discretize,
@@ -42,7 +45,7 @@ from .errors import (
 )
 from .linalg import RationalMatrix, rank
 from .maps import QPFlow, State, iterate, mmatrix
-from .modelfile import LoadedModel, load_model, system_fields
+from .modelfile import LoadedModel, load_model, parse_state, system_fields
 from .reduction import reduce as reduce_map
 from .reduction import to_lv_canonical
 from .sampling import make_rng, random_invertible_transform, seed_from_env
@@ -77,16 +80,9 @@ def _vec(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _report(command: str, inputs: dict, results: dict, exact_checks: dict,
-            tolerances: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "exact_checks": exact_checks,
-        "tolerances": tolerances,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
-    }
+def _constants(constants) -> list[dict]:
+    return [{"exponents": _vec(c.exponents), "value": c.value}
+            for c in constants]
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -94,29 +90,6 @@ def _emit(report: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
-
-
-def _parse_initial(raw: str, n: int) -> State:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if len(parts) != n:
-        raise ModelFileError(f"expected {n} comma-separated decimals, "
-                             f"got {len(parts)}", field="--initial")
-    try:
-        return State(tuple(float(p) for p in parts))
-    except NonPositiveStateError as err:
-        raise ModelFileError(str(err), field="--initial") from err
-    except ValueError as err:
-        raise ModelFileError(f"invalid decimal: {err}", field="--initial") from err
-
-
-def _parse_eps(raw: str) -> Fraction:
-    try:
-        e = Fraction(raw)
-    except (ValueError, ZeroDivisionError) as err:
-        raise ModelFileError(f"invalid rational {raw!r}", field="--eps") from err
-    if e <= 0:
-        raise ModelFileError("time step must be positive", field="--eps")
-    return e
 
 
 def _check_steps(field: str, value: float, eps: Fraction | None) -> None:
@@ -141,9 +114,16 @@ def _load_kind(path: str, kind: str) -> LoadedModel:
     return loaded
 
 
-def _initial_for(loaded: LoadedModel, args) -> State | None:
-    if getattr(args, "initial", None):
-        return _parse_initial(args.initial, loaded.model.n)
+def _initial_for(loaded: LoadedModel, args, *,
+                 required: bool = False) -> State | None:
+    """The --initial state, else the model file's; `required` forbids None."""
+    if args.initial is not None:
+        fields = args.initial.split(",") if args.initial else []
+        return parse_state(fields, loaded.model.n, "--initial")
+    if required and loaded.initial is None:
+        raise ModelFileError("an initial state is required (flag --initial "
+                             "or an 'initial' entry in the model file)",
+                             path=loaded.path, field="initial")
     return loaded.initial
 
 
@@ -151,7 +131,6 @@ def _initial_for(loaded: LoadedModel, args) -> State | None:
 
 
 def _cmd_reduce(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     loaded = _load_kind(args.model, "map")
     qp = loaded.model
     initial = _initial_for(loaded, args)
@@ -169,9 +148,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
         "already_nonredundant": not report_obj.steps,
         "final": system_fields(final),
         "steps": steps,
-        "constants_of_motion": [
-            {"exponents": _vec(c.exponents), "value": c.value}
-            for c in report_obj.constants],
+        "constants_of_motion": _constants(report_obj.constants),
         "rank_certificates": {
             "n": final.n,
             "m": final.m,
@@ -187,12 +164,10 @@ def _cmd_reduce(args) -> tuple[dict, int]:
         "initial": list(initial.x) if initial is not None else None,
     }
     exact = {"rank_certificates_exact": True, "transforms_exact": True}
-    tolerances = {"float_assertions": args.tolerance}
-    return _report("reduce", inputs, results, exact, tolerances, started), EXIT_OK
+    return dict(inputs=inputs, results=results, exact_checks=exact), EXIT_OK
 
 
 def _cmd_canonical(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     loaded = _load_kind(args.model, "map")
     qp = loaded.model
     try:
@@ -204,20 +179,15 @@ def _cmd_canonical(args) -> tuple[dict, int]:
         "embedded": lv.n > qp.n,
         "class_invariant_BM": _mat(class_invariant(qp)),
         "lv_map": system_fields(lv),
-        "constants_of_motion": [
-            {"exponents": _vec(c.exponents), "value": c.value}
-            for c in constants],
+        "constants_of_motion": _constants(constants),
     }
     inputs = {"model": loaded.path, "kind": "map", "n": qp.n, "m": qp.m}
     exact = {"lv_matrix_equals_BM": class_invariant(qp) == mmatrix(lv),
              "B_is_identity": lv.B.is_identity()}
-    tolerances = {"float_assertions": args.tolerance}
-    return _report("canonical", inputs, results, exact, tolerances,
-                   started), EXIT_OK
+    return dict(inputs=inputs, results=results, exact_checks=exact), EXIT_OK
 
 
 def _cmd_same_class(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     first = _load_kind(args.model1, "map")
     second = _load_kind(args.model2, "map")
     t = same_class(first.model, second.model)
@@ -231,9 +201,7 @@ def _cmd_same_class(args) -> tuple[dict, int]:
                   {"n": second.model.n, "m": second.model.m}],
     }
     exact = {"invariants_compared_exactly": True}
-    tolerances = {"float_assertions": args.tolerance}
-    return _report("same-class", inputs, results, exact, tolerances,
-                   started), EXIT_OK
+    return dict(inputs=inputs, results=results, exact_checks=exact), EXIT_OK
 
 
 def _write_csv(path: str, states) -> None:
@@ -246,15 +214,10 @@ def _write_csv(path: str, states) -> None:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     _check_steps("--steps", args.steps, Fraction(1))
     loaded = _load_kind(args.model, "map")
     qp = loaded.model
-    initial = _initial_for(loaded, args)
-    if initial is None:
-        raise ModelFileError("an initial state is required (flag --initial "
-                             "or an 'initial' entry in the model file)",
-                             path=loaded.path, field="initial")
+    initial = _initial_for(loaded, args, required=True)
     diverged_at = None
     divergence_note = None
     try:
@@ -275,10 +238,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
     inputs = {"model": loaded.path, "kind": "map", "n": qp.n, "m": qp.m,
               "initial": list(initial.x), "steps": args.steps}
     exact = {"coefficients_exact": True}
-    tolerances = {"float_assertions": args.tolerance}
     code = EXIT_OK if diverged_at is None else EXIT_DIVERGED
-    return _report("simulate", inputs, results, exact, tolerances,
-                   started), code
+    return dict(inputs=inputs, results=results, exact_checks=exact), code
 
 
 def _commutativity_table(flow: QPFlow, eps: Fraction) -> list[dict]:
@@ -310,10 +271,9 @@ def _commutativity_table(flow: QPFlow, eps: Fraction) -> list[dict]:
 
 
 def _cmd_discretize(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     loaded = _load_kind(args.model, "flow")
     flow = loaded.model
-    eps = _parse_eps(args.eps)
+    eps = coerce_eps(args.eps, "--eps")
     analyses = args.analysis or []
     # the horizon sets a run length only when an orbit is run
     _check_steps("--horizon", args.horizon,
@@ -325,10 +285,7 @@ def _cmd_discretize(args) -> tuple[dict, int]:
         results["euler_map"] = system_fields(euler_discretize(flow, eps))
     code = EXIT_OK
     if "divergence" in analyses:
-        initial = _initial_for(loaded, args)
-        if initial is None:
-            raise ModelFileError("divergence analysis needs an initial state",
-                                 path=loaded.path, field="initial")
+        initial = _initial_for(loaded, args, required=True)
         try:
             series = compare_discretizations(flow, eps, initial, args.horizon)
             results["divergence"] = {
@@ -365,10 +322,10 @@ def _cmd_discretize(args) -> tuple[dict, int]:
               "analyses": sorted(analyses), "seed": seed_from_env()}
     exact = {"discretized_coefficients_exact": True,
              "commutativity_matrix_checks_exact": "commutativity" in analyses}
-    tolerances = {"float_assertions": args.tolerance,
-                  "euler_fixed_point": 1e-10, "jacobian_match": 1e-12}
-    return _report("discretize", inputs, results, exact, tolerances,
-                   started), code
+    tolerances = {"euler_fixed_point": EULER_FIXED_POINT_TOL,
+                  "jacobian_match": JACOBIAN_MATCH_TOL}
+    return dict(inputs=inputs, results=results, exact_checks=exact,
+                tolerances=tolerances), code
 
 
 # -- parser --------------------------------------------------------------------
@@ -440,8 +397,9 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "simulate" and args.out is None:
         print("qpmaps simulate: --out CSV path is required", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        report, code = args.func(args)
+    started = time.perf_counter()
+    try:  # args.func is read per call, so a wrapped _cmd_* is what runs
+        sections, code = args.func(args)
     except ModelFileError as err:
         print(f"qpmaps: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -451,6 +409,10 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as err:
         print(f"qpmaps: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
+    report = {"command": args.command, **sections}
+    report["tolerances"] = {"float_assertions": args.tolerance,
+                            **sections.get("tolerances", {})}
+    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     out = args.out if args.command != "simulate" else None
     _emit(report, out)
     return code

@@ -46,11 +46,15 @@ EULER_FIXED_POINT_TOL = 1e-10
 JACOBIAN_MATCH_TOL = 1e-12
 
 
-def _coerce_eps(eps) -> Fraction:
-    e = Fraction(eps)
+def coerce_eps(eps, field: str = "eps") -> Fraction:
+    """A time step (number or rational string) as a positive Fraction."""
+    try:
+        e = Fraction(eps)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
+        raise ModelFileError(f"invalid rational {eps!r}", field=field) from err
     if e <= 0:
         raise ModelFileError(f"time step must be positive, got {eps!r}",
-                             field="eps")
+                             field=field)
     return e
 
 
@@ -70,11 +74,11 @@ def _scaled(flow: QPFlow, e: Fraction):
 
 def qp_discretize(flow: QPFlow, eps) -> QPMap:
     """QP map with lam = eps*lam*, A = eps*A*, same B; exact for rational eps."""
-    return QPMap(*_scaled(flow, _coerce_eps(eps)), flow.B)
+    return QPMap(*_scaled(flow, coerce_eps(eps)), flow.B)
 
 
 def euler_discretize(flow: QPFlow, eps) -> EulerMap:
-    return EulerMap(*_scaled(flow, _coerce_eps(eps)), flow.B)
+    return EulerMap(*_scaled(flow, coerce_eps(eps)), flow.B)
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,10 @@ def compare_discretizations(flow: QPFlow, eps, s0: State,
     Raises OrbitEscapedError naming the scheme and step as soon as either
     orbit leaves the positive orthant or the float range.
     """
-    e = _coerce_eps(eps)
+    e = coerce_eps(eps)
     qp = qp_discretize(flow, e)
     em = euler_discretize(flow, e)
-    n_steps = int(math.floor(horizon_time / float(e) + 1e-9))
+    n_steps = math.floor(Fraction(horizon_time) / e + Fraction(1e-9))
     times = [0.0]
     qp_traj = [tuple(s0.x)]
     euler_traj = [tuple(s0.x)]
@@ -184,7 +188,7 @@ def check_fixed_point_coincidence(flow: QPFlow, eps) -> FixedPointCoincidence:
         return FixedPointCoincidence(
             status="skipped",
             reason=f"fixed-point solving needs m = n (got m={flow.m}, n={flow.n})")
-    e = _coerce_eps(eps)
+    e = coerce_eps(eps)
     qp = qp_discretize(flow, e)
     em = euler_discretize(flow, e)
     try:
@@ -308,7 +312,7 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
     of positive states; the verdict reports the largest discrepancy found,
     never a claim beyond the sampled evidence (NotApplicableError if none).
     """
-    e = _coerce_eps(eps)
+    e = coerce_eps(eps)
     if t.n != flow.n:
         raise DimensionMismatchError("transform size does not match flow")
 
@@ -354,7 +358,7 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
 
 def canonicalization_commutes(flow: QPFlow, eps) -> bool:
     """Exact check: LV-canonicalizing then discretizing equals the reverse order."""
-    e = _coerce_eps(eps)
+    e = coerce_eps(eps)
     lhs, _ = to_lv_canonical(qp_discretize(flow, e))
     rhs = qp_discretize(lv_canonical_flow(flow), e)
     return lhs == rhs

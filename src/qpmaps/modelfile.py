@@ -74,6 +74,25 @@ def _rational_matrix(raw, rows: int, cols: int, field: str,
     return RationalMatrix.from_rows(data, cols=cols)
 
 
+def parse_state(raw, n: int, field: str, path: str | None = None) -> State:
+    """A list of n decimals as a State; every failure, an empty entry
+    included, raises ModelFileError naming `field` (a key or a flag)."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ModelFileError(f"expected a list of {n} decimals",
+                             path=path, field=field)
+    vals = []
+    for i, v in enumerate(raw):
+        try:
+            vals.append(float(v))
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ModelFileError(f"invalid decimal {v!r}", path=path,
+                                 field=f"{field}[{i}]") from err
+    try:
+        return State(tuple(vals))
+    except NonPositiveStateError as err:
+        raise ModelFileError(str(err), path=path, field=field) from err
+
+
 def parse_model(doc: dict, path: str = "<memory>") -> LoadedModel:
     if not isinstance(doc, dict):
         raise ModelFileError("top-level value must be an object", path=path)
@@ -101,22 +120,8 @@ def parse_model(doc: dict, path: str = "<memory>") -> LoadedModel:
         raise ModelFileError(f"matrices do not form a valid {kind}: {err}",
                              path=path, field="B") from err
     initial = None
-    if "initial" in doc and doc["initial"] is not None:
-        raw = doc["initial"]
-        if not isinstance(raw, list) or len(raw) != n:
-            raise ModelFileError(f"expected a list of {n} decimals",
-                                 path=path, field="initial")
-        vals = []
-        for i, v in enumerate(raw):
-            try:
-                vals.append(float(v))
-            except (TypeError, ValueError) as err:
-                raise ModelFileError(f"invalid decimal {v!r}", path=path,
-                                     field=f"initial[{i}]") from err
-        try:
-            initial = State(tuple(vals))
-        except NonPositiveStateError as err:
-            raise ModelFileError(str(err), path=path, field="initial") from err
+    if doc.get("initial") is not None:
+        initial = parse_state(doc["initial"], n, "initial", path=path)
     return LoadedModel(kind=kind, model=model, initial=initial,
                        name=doc.get("name"), description=doc.get("description"),
                        path=path)

@@ -39,7 +39,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     rank,
-    select_independent_rows,
     vec_mat,
     vstack,
 )
@@ -189,12 +188,14 @@ def reduce_step3(qp: QPMap,
     """Decouple conserved coordinates until (lam | A) has full row rank.
 
     Builds the transform from a basis of the column space of (lam | A):
-    complete it to a basis of R^n, conjugate the projector that kills it,
-    keep its independent rows as the bottom block of D, complete D to an
-    invertible matrix, and change variables by C = D^-1.  The trailing n - r
-    variables of the transformed map are constants; each quasimonomial picks
-    up the factor q_j contributed by those constant values (1 when no initial
-    state is supplied), applied to its coefficient column.
+    complete it with unit columns, in ascending index order, to a basis F
+    of R^n.  The projector that kills the column space then has the bottom
+    n - r rows of F^-1 as its nonzero rows, in order; they form the bottom
+    block of D.  Complete D to an invertible matrix and change variables by
+    C = D^-1.  The trailing n - r variables of the transformed map are
+    constants; each quasimonomial picks up the factor q_j contributed by
+    those constant values (1 when no initial state is supplied), applied to
+    its coefficient column.
     """
     n, m = qp.n, qp.m
     if m < n:
@@ -210,11 +211,7 @@ def reduce_step3(qp: QPMap,
 
     basis_cols = big_m.take_cols(col_pivots)
     full_basis = complete_to_invertible(basis_cols, side="right")
-    proj_core = RationalMatrix.from_rows(
-        [[Fraction(1) if (i == j and i >= r) else Fraction(0)
-          for j in range(n)] for i in range(n)], cols=n)
-    proj = full_basis @ proj_core @ inverse(full_basis)
-    constraint = proj.take_rows(select_independent_rows(proj, n - r))
+    constraint = inverse(full_basis).take_rows(range(r, n))
     d = complete_to_invertible(constraint, side="above")
     t = QMTransform(d).inverse_transform()
     mapped = apply_qm(qp, t)

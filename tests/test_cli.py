@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpmaps import QPFlow, QPMap, State, save_model
+from qpmaps import QPFlow, QPMap, State, model_document, save_model
 from qpmaps.cli import main
 from qpmaps.linalg import RationalMatrix
 
@@ -360,3 +360,81 @@ def test_simulate_divergence_runs_the_orbit_once(capsys, tmp_path,
     assert report_of(out)["results"]["diverged_at_step"] == 2
     assert len(csv_path.read_text().strip().splitlines()) == 1 + 2
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("eps, horizon", [("1e-400", "0"), ("1e400", "1")])
+def test_discretize_extreme_time_steps_count_steps_exactly(capsys, flow_model,
+                                                           eps, horizon):
+    # horizon / eps is 0 in both cases, though float(eps) is 0 or inf
+    code, out, err = run_cli(capsys, "discretize", flow_model, "--eps", eps,
+                             "--horizon", horizon, "--analysis", "divergence")
+    assert code == 0, err
+    assert report_of(out)["results"]["divergence"]["times"] == [0.0]
+
+
+# rejected --initial values and model-file `initial` entries, for n = 2
+BAD_INITIALS = {
+    "wrong count": ("1.0,0.5,0.25", ["1.0", "0.5", "0.25"]),
+    "non-numeric": ("1.0,abc", ["1.0", "abc"]),
+    "nonpositive": ("1.0,-0.5", ["1.0", "-0.5"]),
+    "empty field": ("1.0,,0.5", ["1.0", ""]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_INITIALS))
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", ["reduce", "simulate", "discretize"])
+def test_bad_initial_state_exits_2(capsys, tmp_path, command, source, row):
+    flag_value, file_value = BAD_INITIALS[row]
+    if command == "discretize":
+        system = QPFlow(lam_star=(1, 1), A_star=M([[-1, 0], [0, -1]]),
+                        B=RationalMatrix.identity(2))
+        extra = ["--eps", "1/10", "--analysis", "divergence"]
+    else:
+        system = QPMap(lam=(1, 1), A=M([[-1, 0], [0, -2]]),
+                       B=RationalMatrix.identity(2))
+        extra = (["--steps", "3", "--out", str(tmp_path / "orbit.csv")]
+                 if command == "simulate" else [])
+    doc = model_document(system)
+    if source == "file":
+        doc["initial"] = file_value
+    else:
+        extra += ["--initial", flag_value]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert ("--initial" if source == "flag" else ": initial") in err
+
+
+def test_main_looks_up_the_simulate_command_by_name(capsys, tmp_path,
+                                                     lv_model, monkeypatch):
+    # a tracer wraps the module attribute and reads the report it returns
+    import qpmaps.cli
+
+    returned = []
+    real = qpmaps.cli._cmd_simulate
+
+    def counting(args):
+        returned.append(real(args))
+        return returned[-1]
+
+    monkeypatch.setattr(qpmaps.cli, "_cmd_simulate", counting)
+    code, _, _ = run_cli(capsys, "simulate", lv_model, "--steps", "5",
+                         "--out", str(tmp_path / "orbit.csv"))
+    assert code == 0
+    assert len(returned) == 1
+    assert returned[0][0]["results"]["steps_completed"] == 5
+
+
+def test_discretize_tolerances_are_the_library_constants(capsys, flow_model):
+    from qpmaps.discretization import EULER_FIXED_POINT_TOL, JACOBIAN_MATCH_TOL
+
+    _, out, _ = run_cli(capsys, "discretize", flow_model, "--eps", "1/10",
+                        "--tolerance", "1e-7")
+    assert report_of(out)["tolerances"] == {
+        "float_assertions": 1e-7,
+        "euler_fixed_point": EULER_FIXED_POINT_TOL,
+        "jacobian_match": JACOBIAN_MATCH_TOL,
+    }

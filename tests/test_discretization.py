@@ -252,6 +252,16 @@ def test_nonpositive_time_step_is_a_package_error():
         euler_discretize(flow, 0)
 
 
+@pytest.mark.parametrize("eps", ["abc", float("nan"), "1/0", float("inf"),
+                                 None])
+def test_invalid_time_step_is_a_model_file_error(eps):
+    flow = flow_1d()
+    with pytest.raises(ModelFileError):
+        qp_discretize(flow, eps)
+    with pytest.raises(ModelFileError):
+        compare_discretizations(flow, eps, State((0.5,)), 1.0)
+
+
 def test_commutativity_without_computable_probes_is_not_applicable():
     flow = QPFlow(lam_star=(-100,), A_star=M([[0]]), B=M([[1]]))
     t = random_invertible_transform(make_rng("steep"), 1)
