@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -25,6 +24,7 @@ from .discretization import (
     check_commutativity,
     check_fixed_point_coincidence,
     coerce_eps,
+    coerce_horizon,
     compare_discretizations,
     euler_discretize,
     qp_discretize,
@@ -98,10 +98,8 @@ def _check_steps(field: str, value: float, eps: Fraction | None) -> None:
     `value` is a step count (eps = 1) or a time horizon covered in steps of
     eps; with eps None only the sign and finiteness are checked.
     """
-    if not (math.isfinite(value) and value >= 0):
-        raise ModelFileError(f"must be finite and nonnegative, got {value!r}",
-                             field=field)
-    if eps is not None and Fraction(value) / eps > MAX_STEPS:
+    span = coerce_horizon(value, field)
+    if eps is not None and span / eps > MAX_STEPS:
         raise ModelFileError(f"{value!r} asks for more than the {MAX_STEPS} "
                              "steps allowed", field=field)
 
@@ -278,6 +276,7 @@ def _cmd_discretize(args) -> tuple[dict, int]:
     # the horizon sets a run length only when an orbit is run
     _check_steps("--horizon", args.horizon,
                  eps if "divergence" in analyses else None)
+    initial = _initial_for(loaded, args, required="divergence" in analyses)
     results: dict = {"eps": str(eps)}
     if args.scheme in ("qp", "both"):
         results["qp_map"] = system_fields(qp_discretize(flow, eps))
@@ -285,7 +284,6 @@ def _cmd_discretize(args) -> tuple[dict, int]:
         results["euler_map"] = system_fields(euler_discretize(flow, eps))
     code = EXIT_OK
     if "divergence" in analyses:
-        initial = _initial_for(loaded, args, required=True)
         try:
             series = compare_discretizations(flow, eps, initial, args.horizon)
             results["divergence"] = {

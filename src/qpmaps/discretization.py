@@ -46,16 +46,22 @@ EULER_FIXED_POINT_TOL = 1e-10
 JACOBIAN_MATCH_TOL = 1e-12
 
 
+def coerce_horizon(value, field: str = "horizon_time",
+                   nonzero: bool = False) -> Fraction:
+    """A horizon or step count (number or rational string) as a Fraction >= 0."""
+    try:
+        v = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
+        raise ModelFileError(f"invalid rational {value!r}", field=field) from err
+    if v < 0 or (nonzero and v == 0):
+        rule = "positive" if nonzero else "finite and nonnegative"
+        raise ModelFileError(f"must be {rule}, got {value!r}", field=field)
+    return v
+
+
 def coerce_eps(eps, field: str = "eps") -> Fraction:
     """A time step (number or rational string) as a positive Fraction."""
-    try:
-        e = Fraction(eps)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
-        raise ModelFileError(f"invalid rational {eps!r}", field=field) from err
-    if e <= 0:
-        raise ModelFileError(f"time step must be positive, got {eps!r}",
-                             field=field)
-    return e
+    return coerce_horizon(eps, field, nonzero=True)
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class EulerStepResult:
 
 def euler_step(em: EulerMap, s: State) -> EulerStepResult:
     """One Euler update x_i (1 + lam_i + sum_j A_ij q_j); may be nonpositive."""
-    values = tuple(x * (1.0 + f) for x, f in zip(s, _field(em, s)[1]))
+    values = _family_update(DiscretizationFamily.euler_add(), em, s)
     positive = all(math.isfinite(v) and v > 0.0 for v in values)
     return EulerStepResult(values=values, positive=positive)
 
@@ -128,7 +134,7 @@ def compare_discretizations(flow: QPFlow, eps, s0: State,
     e = coerce_eps(eps)
     qp = qp_discretize(flow, e)
     em = euler_discretize(flow, e)
-    n_steps = math.floor(Fraction(horizon_time) / e + Fraction(1e-9))
+    n_steps = math.floor(coerce_horizon(horizon_time) / e + Fraction(1e-9))
     times = [0.0]
     qp_traj = [tuple(s0.x)]
     euler_traj = [tuple(s0.x)]
@@ -147,7 +153,7 @@ def compare_discretizations(flow: QPFlow, eps, s0: State,
             raise OrbitEscapedError(
                 f"Euler orbit left the positive orthant at step {p}",
                 scheme="euler", step_index=p)
-        x_e = State(res.values)
+        x_e = State._checked(res.values)
         times.append(p * float(e))
         qp_traj.append(tuple(x_qp.x))
         euler_traj.append(tuple(x_e.x))
@@ -222,34 +228,31 @@ class FamilyKind(Enum):
 
 @dataclass(frozen=True)
 class DiscretizationFamily:
-    """One update shape x' = x*phi(xi) (multiplicative) or x' = x + phi(xi)."""
+    """One update shape g: x' = x*g(xi), or x' = x + g(xi) for CUSTOM_ADDITIVE."""
 
     kind: FamilyKind
-    base: float | None = None
-    shape: Callable[[float], float] | None = None
+    shape: Callable[[float], float]
     label: str = ""
 
     def __post_init__(self):
-        if self.kind is FamilyKind.POWER_BASE:
-            if self.base is None or not self.base > 0.0:
-                raise ValueError("power family needs a positive base")
-        if self.kind in (FamilyKind.CUSTOM_MULTIPLICATIVE,
-                         FamilyKind.CUSTOM_ADDITIVE) and self.shape is None:
-            raise ValueError("custom family needs a shape function")
+        if not callable(self.shape):
+            raise ValueError(f"{self.kind.value} family needs a shape function")
         if not self.label:
             object.__setattr__(self, "label", self.kind.value)
 
     @staticmethod
     def qp_exp() -> "DiscretizationFamily":
-        return DiscretizationFamily(FamilyKind.QP_EXP)
+        return DiscretizationFamily(FamilyKind.QP_EXP, math.exp)
 
     @staticmethod
     def euler_add() -> "DiscretizationFamily":
-        return DiscretizationFamily(FamilyKind.EULER_ADD)
+        return _EULER_ADD
 
     @staticmethod
     def power_base(a: float) -> "DiscretizationFamily":
-        return DiscretizationFamily(FamilyKind.POWER_BASE, base=a,
+        if not a > 0.0:
+            raise ValueError("power family needs a positive base")
+        return DiscretizationFamily(FamilyKind.POWER_BASE, lambda xi: a ** xi,
                                     label=f"power-base({a:g})")
 
     @staticmethod
@@ -261,6 +264,9 @@ class DiscretizationFamily:
     def custom_additive(label: str, shape) -> "DiscretizationFamily":
         return DiscretizationFamily(FamilyKind.CUSTOM_ADDITIVE,
                                     shape=shape, label=label)
+
+
+_EULER_ADD = DiscretizationFamily(FamilyKind.EULER_ADD, lambda xi: 1.0 + xi)
 
 
 @dataclass(frozen=True)
@@ -280,19 +286,11 @@ def _family_update(family: DiscretizationFamily, qp: QPSystem,
     Only the coefficients of `qp` are read: (eps lam*, eps A*, B) of the
     discretized flow.
     """
-    out = []
-    for x, xi in zip(s, _field(qp, s)[1]):
-        if family.kind is FamilyKind.QP_EXP:
-            out.append(x * math.exp(xi))
-        elif family.kind is FamilyKind.POWER_BASE:
-            out.append(x * family.base ** xi)
-        elif family.kind is FamilyKind.EULER_ADD:
-            out.append(x * (1.0 + xi))
-        elif family.kind is FamilyKind.CUSTOM_MULTIPLICATIVE:
-            out.append(x * family.shape(xi))
-        else:
-            out.append(x + family.shape(xi))
-    return tuple(out)
+    g = family.shape
+    xi = _field(qp, s)[1]
+    if family.kind is FamilyKind.CUSTOM_ADDITIVE:
+        return tuple(x + g(f) for x, f in zip(s, xi))
+    return tuple(x * g(f) for x, f in zip(s, xi))
 
 
 def _default_probe_states(n: int) -> list[State]:
@@ -316,20 +314,19 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
     if t.n != flow.n:
         raise DimensionMismatchError("transform size does not match flow")
 
+    # each route discretized once; the pointwise probes read their float forms
+    disc = qp_discretize(flow, e)
+    disc_t = qp_discretize(apply_qm(flow, t), e)
     if family.kind in (FamilyKind.QP_EXP, FamilyKind.POWER_BASE):
-        lhs = apply_qm(qp_discretize(flow, e), t)
-        rhs = qp_discretize(apply_qm(flow, t), e)
         note = ""
         if family.kind is FamilyKind.POWER_BASE:
             note = ("common factor ln(base) absorbed into the coefficients "
                     "on both routes")
         return CommutativityVerdict(family=family.label, mode="exact-matrix",
-                                    commutes=(lhs == rhs), note=note)
+                                    commutes=(apply_qm(disc, t) == disc_t),
+                                    note=note)
 
     probes = list(states) if states is not None else _default_probe_states(flow.n)
-    # both routes discretized once, so each system's float form is built once
-    disc = qp_discretize(flow, e)
-    disc_t = qp_discretize(apply_qm(flow, t), e)
     worst = 0.0
     witness: tuple[float, ...] | None = None
     compared = 0

@@ -73,6 +73,13 @@ class State:
                 raise NonPositiveStateError(
                     f"component {i} = {v!r} is not strictly positive and finite")
 
+    @classmethod
+    def _checked(cls, x: tuple[float, ...]) -> "State":
+        """A State of floats the caller has just found finite and positive."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "x", x)
+        return s
+
     def __len__(self) -> int:
         return len(self.x)
 
@@ -232,12 +239,6 @@ def quasimonomials(qp: QPSystem, s: State) -> tuple[float, ...]:
     return tuple(power_values(qp._float_form.b_terms, s, DEFAULT_EXP_BOUND))
 
 
-def field_arguments(qp: QPMap, s: State,
-                    exp_bound: float = DEFAULT_EXP_BOUND) -> tuple[float, ...]:
-    """The n exponent arguments lam_i + sum_j A[i][j] q_j(x)."""
-    return tuple(_field(qp, s, exp_bound)[1])
-
-
 def step(qp: QPMap, s: State, exp_bound: float = DEFAULT_EXP_BOUND) -> State:
     """One update of the map; strictly positive output or OverflowDivergenceError."""
     try:
@@ -259,7 +260,7 @@ def step(qp: QPMap, s: State, exp_bound: float = DEFAULT_EXP_BOUND) -> State:
         # gets here
         raise OverflowDivergenceError(
             f"an exponential left the float range: {err}") from err
-    return State(tuple(out))
+    return State._checked(tuple(out))
 
 
 def iterate(qp: QPMap, s0: State, steps: int,

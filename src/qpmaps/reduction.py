@@ -137,23 +137,24 @@ def _truncate(mapped: QPMap, r: int, q: tuple[Fraction, ...] | None) -> QPMap:
 # -- decoupling steps ---------------------------------------------------------
 
 
-def _kernel_decouple(qp: QPMap, kind: StepKind) -> tuple[QPMap, StepRecord]:
-    """Shared construction for steps 1 and 2.
+def _kernel_decouple(qp: QPMap, kind: StepKind
+                     ) -> tuple[QPMap, StepRecord] | None:
+    """Shared construction for steps 1 and 2; None when B has full column rank.
 
     Columns r+1..n of the transform are a kernel basis of B, so those
-    variables disappear from every quasimonomial; the leading block is the
-    identity, after a variable permutation that moves independent columns of
-    B to the front.
+    variables disappear from every quasimonomial; the leading columns are the
+    unit vectors of B's pivot columns.  A kernel vector's last nonzero entry
+    is its free column, so one reduced elimination gives both.
     """
     n = qp.n
-    pivots = _eliminate(qp.B)[1]
+    kern = kernel_basis(qp.B)
+    if not kern:
+        return None
+    free = {max(k for k, v in enumerate(vec) if v) for vec in kern}
+    pivots = [c for c in range(n) if c not in free]
     r = len(pivots)
-    order = pivots + [c for c in range(n) if c not in pivots]
-    perm = RationalMatrix.identity(n).take_cols(order)
-    kern = kernel_basis(qp.B @ perm)
-    lead = RationalMatrix.identity(n).take_cols(range(r))
     kern_cols = RationalMatrix.from_rows(kern, cols=n).transpose()
-    c_total = perm @ hstack(lead, kern_cols)
+    c_total = hstack(RationalMatrix.identity(n).take_cols(pivots), kern_cols)
     if rank(c_total) != n:
         raise IllConditionedBlockError(
             "identity block conflicts with the kernel structure")
@@ -178,8 +179,6 @@ def reduce_step2(qp: QPMap) -> tuple[QPMap, StepRecord] | None:
     """Bring B to full column rank; None when rank(B) = n already."""
     if qp.m < qp.n:
         raise DimensionMismatchError("m < n; run reduce_step1 first")
-    if rank(qp.B) == qp.n:
-        return None
     return _kernel_decouple(qp, StepKind.STEP2)
 
 

@@ -438,3 +438,11 @@ def test_discretize_tolerances_are_the_library_constants(capsys, flow_model):
         "euler_fixed_point": EULER_FIXED_POINT_TOL,
         "jacobian_match": JACOBIAN_MATCH_TOL,
     }
+
+
+def test_discretize_checks_initial_without_an_orbit(capsys, flow_model):
+    # no analysis reads the state, but a malformed flag is still an error
+    code, out, err = run_cli(capsys, "discretize", flow_model, "--eps", "1/10",
+                             "--initial", "abc")
+    assert code == 2
+    assert out == "" and "--initial" in err

@@ -1,5 +1,6 @@
 """QP vs Euler discretizations: scaling, fixed points, closeness, commutation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from qpmaps import (
     DiscretizationFamily,
+    FamilyKind,
     QPFlow,
     State,
     canonicalization_commutes,
@@ -27,9 +29,11 @@ from qpmaps.errors import (
     OrbitEscapedError,
     QPError,
 )
+from qpmaps.discretization import _family_update
 from qpmaps.linalg import RationalMatrix
 from qpmaps.sampling import (
     make_rng,
+    random_positive_state,
     random_flow,
     random_invertible_transform,
 )
@@ -267,3 +271,77 @@ def test_commutativity_without_computable_probes_is_not_applicable():
     t = random_invertible_transform(make_rng("steep"), 1)
     with pytest.raises(NotApplicableError, match="no probe state"):
         check_commutativity(flow, t, 1, DiscretizationFamily.euler_add())
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), None, "abc",
+                                     -1.0, "-1/2"])
+def test_invalid_horizon_is_a_model_file_error(horizon):
+    with pytest.raises(ModelFileError, match="horizon_time"):
+        compare_discretizations(flow_1d(), Fraction(1, 10), State((0.5,)),
+                                horizon)
+
+
+def test_zero_and_rational_string_horizons_are_valid():
+    flow, s0 = flow_1d(), State((0.5,))
+    assert compare_discretizations(flow, Fraction(1, 10), s0, 0).times == (0.0,)
+    series = compare_discretizations(flow, Fraction(1, 10), s0, "1/2")
+    assert len(series.times) == 6
+
+
+# -- a family is a kind and a shape -----------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscretizationFamily.power_base(0),
+    lambda: DiscretizationFamily.power_base(-1),
+    lambda: DiscretizationFamily.power_base(float("nan")),
+    lambda: DiscretizationFamily.custom_multiplicative("x", None),
+    lambda: DiscretizationFamily.custom_additive("x", 2.0),
+])
+def test_family_rejects_bad_base_or_shape(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_named_constructors_keep_kind_and_label():
+    shape = math.tanh
+    cases = [
+        (DiscretizationFamily.qp_exp(), FamilyKind.QP_EXP, "qp-exp"),
+        (DiscretizationFamily.euler_add(), FamilyKind.EULER_ADD, "euler-add"),
+        (DiscretizationFamily.power_base(2.0), FamilyKind.POWER_BASE,
+         "power-base(2)"),
+        (DiscretizationFamily.power_base(0.5), FamilyKind.POWER_BASE,
+         "power-base(0.5)"),
+        (DiscretizationFamily.custom_multiplicative("m", shape),
+         FamilyKind.CUSTOM_MULTIPLICATIVE, "m"),
+        (DiscretizationFamily.custom_additive("a", shape),
+         FamilyKind.CUSTOM_ADDITIVE, "a"),
+    ]
+    for family, kind, label in cases:
+        assert (family.kind, family.label) == (kind, label)
+    assert [f.value for f in FamilyKind] == [
+        "qp-exp", "euler-add", "power-base", "custom-multiplicative",
+        "custom-additive"]
+
+
+def test_family_is_a_kind_a_shape_and_a_label():
+    assert [f.name for f in dataclasses.fields(DiscretizationFamily)] == [
+        "kind", "shape", "label"]
+    fam = DiscretizationFamily(FamilyKind.CUSTOM_ADDITIVE, math.tanh)
+    assert fam.label == "custom-additive"
+    assert DiscretizationFamily.euler_add() is DiscretizationFamily.euler_add()
+    assert DiscretizationFamily.power_base(10.0).shape(2.0) == 100.0
+
+
+def test_euler_step_is_the_euler_family_update():
+    rng = make_rng("euler-is-family")
+    for n in (1, 2, 3):
+        flow = random_flow(rng, n, n + 1)
+        eps = Fraction(1, 7)
+        em = euler_discretize(flow, eps)
+        family = DiscretizationFamily.euler_add()
+        for _ in range(3):
+            s = random_positive_state(rng, n, 0.5, 2.0)
+            # bit for bit: the Euler update is written once
+            assert euler_step(em, s).values == _family_update(
+                family, qp_discretize(flow, eps), s)

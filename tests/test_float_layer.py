@@ -244,3 +244,22 @@ def test_inverse_transform_swaps_the_float_rows():
         inv = t.inverse_transform()
         assert phi(inv, s) == phi_inverse(t, s)
         assert phi_inverse(inv, s) == phi(t, s)
+
+
+def test_iterate_does_not_check_its_states_again(monkeypatch):
+    qp = QPMap(lam=(Fraction(1), Fraction(1, 2)),
+               A=M([[-1, "1/4"], ["1/5", "-1/2"]]), B=M([[1, 0], [1, 1]]))
+    s0 = State((0.8, 1.1))
+    checks = []
+    original = State.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(State, "__post_init__", counting)
+    traj = iterate(qp, s0, 200)
+    assert len(traj) == 201
+    # step has checked every component itself
+    assert checks == []
+    assert all(type(v) is float and v > 0.0 for s in traj for v in s)

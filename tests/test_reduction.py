@@ -142,6 +142,40 @@ def test_step2_requires_step1_first():
         reduce_step2(qp)
 
 
+@pytest.mark.parametrize("reduce_step, qp", [
+    (reduce_step1, QPMap(lam=(0, 0), A=M([[1], [1]]), B=M([[1, 0]]))),
+    (reduce_step1, QPMap(lam=(0, 0, 0), A=M([[1], [2], [3]]),
+                         B=M([[1, 1, 1]]))),
+    (reduce_step1, QPMap(lam=(0, 0), A=M([[1], [1]]), B=M([[0, 1]]))),
+    (reduce_step2, QPMap(lam=(1, 1), A=M([[1, 0], [0, 1]]),
+                         B=M([[1, 2], [2, 4]]))),
+    (reduce_step2, QPMap(lam=(1, 1), A=M([[1, 0], [0, 1]]),
+                         B=M([[0, 2], [0, 4]]))),
+    (reduce_step2, QPMap(lam=(1, 1, 1), A=RationalMatrix.identity(3),
+                         B=M([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))),
+    (reduce_step2, QPMap(lam=(1, 1, 1), A=RationalMatrix.identity(3),
+                         B=M([[1, 1, 1], [2, 2, 2], [3, 3, 3]]))),
+])
+def test_kernel_steps_multiply_only_to_apply_the_transform(monkeypatch,
+                                                          reduce_step, qp):
+    calls = []
+    original = RationalMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append((self.rows, other.cols))
+        return original(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counting)
+    reduced, rec = reduce_step(qp)
+    # C^-1 lam, C^-1 A and B C; the transform is built without products
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert reduced.n == qp.n - len(rec.decoupled_indices)
+    prod = qp.B @ rec.transform.C
+    assert all(prod[j, k] == 0 for j in range(qp.m)
+               for k in rec.decoupled_indices)
+
+
 # -- step 3 --------------------------------------------------------------------
 
 
