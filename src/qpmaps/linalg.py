@@ -3,12 +3,16 @@
 Every structural decision in this package (rank tests, kernels, inverses,
 basis completions) is made over exact rationals so that rank conditions are
 never at the mercy of floating-point noise.  The arithmetic itself runs on
-Python integers: each row is scaled by the lcm of its denominators, and one
-fraction-free (Bareiss) elimination gives rank, pivot columns and, with the
-entries above the pivots cleared as well, the reduced row echelon form that
-kernel, inverse and solve read; a pivot row becomes `Fraction`s only by one
-division at the end.  Products clear each row and column once and make one
-`Fraction` per entry from an integer dot product.
+Python integers.  Each matrix keeps, built on first use, the integer form of
+its rows and that of its columns (each vector as integers over the lcm of its
+denominators) and the pivot columns of its forward elimination.  One
+fraction-free (Bareiss) elimination of the integer rows gives rank, pivot
+columns and, with the entries above the pivots cleared as well, the reduced
+row echelon form that kernel, inverse and solve read; a pivot row becomes
+`Fraction`s only by one division at the end.  A product makes one `Fraction`
+per entry from an integer dot product of a kept row and a kept column.
+Results made here skip the checks of the public constructor, and products
+and solutions hand over the row form they already hold.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,6 +32,7 @@ from .errors import (
 )
 
 RationalLike = Fraction | int | str
+_ZERO = Fraction(0)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -53,6 +60,29 @@ class RationalMatrix:
             object.__setattr__(
                 self, "entries", tuple(as_fraction(e) for e in self.entries))
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[Fraction, ...],
+                 **forms) -> "RationalMatrix":
+        """A matrix of `Fraction`s made in this module: no checks, and the
+        integer forms its producer already holds (None for one it does not)."""
+        mat = object.__new__(cls)
+        mat.__dict__.update(rows=rows, cols=cols, entries=entries)
+        mat.__dict__.update((k, v) for k, v in forms.items() if v is not None)
+        return mat
+
+    @cached_property
+    def _row_form(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row as `_cleared` gives it; `_col_form` likewise per column."""
+        return tuple(_cleared(self.row(i)) for i in range(self.rows))
+
+    @cached_property
+    def _col_form(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple(_cleared(self.col(j)) for j in range(self.cols))
+
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        return _eliminate(self)[1]
+
     # -- construction -----------------------------------------------------
 
     @staticmethod
@@ -73,7 +103,9 @@ class RationalMatrix:
         return RationalMatrix(len(rows), cols, flat)
 
     @staticmethod
+    @cache
     def identity(n: int) -> "RationalMatrix":
+        """The n x n identity: one shared instance per n, which keeps its forms."""
         one, zero = Fraction(1), Fraction(0)
         flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
         return RationalMatrix(n, n, flat)
@@ -103,39 +135,43 @@ class RationalMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
-        flat = tuple(self.entries[i * self.cols + j]
-                     for j in range(self.cols) for i in range(self.rows))
-        return RationalMatrix(self.cols, self.rows, flat)
+        flat = tuple(chain.from_iterable(map(self.col, range(self.cols))))
+        built = self.__dict__.get
+        return RationalMatrix._trusted(
+            self.cols, self.rows, flat,
+            _row_form=built("_col_form"), _col_form=built("_row_form"))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # rows of self and columns of other cleared to integers once each;
-        # one Fraction per entry, from an integer dot product
-        left = [_cleared(self.row(i)) for i in range(self.rows)]
-        right = [_cleared(other.col(j)) for j in range(other.cols)]
-        return RationalMatrix(self.rows, other.cols, tuple(
-            Fraction(sum(map(operator.mul, a, b)), sa * sb)
-            for a, sa in left for b, sb in right))
+        # integer dot products of the kept rows and columns; each row of them,
+        # over one common scale, is the product's row form and gives its entries
+        right = other._col_form
+        common = math.lcm(*[s for _, s in right])
+        form = tuple(_canonical([sum(map(operator.mul, a, b)) * (common // s)
+                                 for b, s in right], sa * common)
+                     for a, sa in self._row_form)
+        return RationalMatrix._trusted(self.rows, other.cols, _entries(form),
+                                       _row_form=form)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch in addition")
-        return RationalMatrix(
+        return RationalMatrix._trusted(
             self.rows, self.cols,
             tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def scale(self, factor: RationalLike) -> "RationalMatrix":
         f = as_fraction(factor)
-        return RationalMatrix(self.rows, self.cols,
-                              tuple(f * e for e in self.entries))
+        return RationalMatrix._trusted(self.rows, self.cols,
+                                       tuple(f * e for e in self.entries))
 
     def submatrix(self, row_indices: Iterable[int],
                   col_indices: Iterable[int]) -> "RationalMatrix":
         ri, ci = list(row_indices), list(col_indices)
         flat = tuple(self[i, j] for i in ri for j in ci)
-        return RationalMatrix(len(ri), len(ci), flat)
+        return RationalMatrix._trusted(len(ri), len(ci), flat)
 
     def take_rows(self, indices: Iterable[int]) -> "RationalMatrix":
         return self.submatrix(indices, range(self.cols))
@@ -155,19 +191,20 @@ class RationalMatrix:
 def hstack(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
     if left.rows != right.rows:
         raise DimensionMismatchError("hstack row mismatch")
-    rows = [left.row(i) + right.row(i) for i in range(left.rows)]
-    return RationalMatrix.from_rows(rows, cols=left.cols + right.cols)
+    return RationalMatrix._trusted(
+        left.rows, left.cols + right.cols, tuple(chain.from_iterable(
+            left.row(i) + right.row(i) for i in range(left.rows))))
 
 
 def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     if top.cols != bottom.cols:
         raise DimensionMismatchError("vstack column mismatch")
-    return RationalMatrix(top.rows + bottom.rows, top.cols,
-                          top.entries + bottom.entries)
+    return RationalMatrix._trusted(top.rows + bottom.rows, top.cols,
+                                   top.entries + bottom.entries)
 
 
 def column_matrix(vec: Sequence[RationalLike]) -> RationalMatrix:
-    return RationalMatrix.from_rows([[v] for v in vec], cols=1)
+    return RationalMatrix(len(vec), 1, tuple(vec))
 
 
 def mat_vec(mat: RationalMatrix, vec: Sequence[RationalLike]) -> tuple[Fraction, ...]:
@@ -180,15 +217,30 @@ def vec_mat(vec: Sequence[RationalLike], mat: RationalMatrix) -> tuple[Fraction,
 
 # -- elimination kernels ----------------------------------------------------
 
-def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers proportional to a rational vector, and the common scale."""
-    dens = [e.denominator for e in values]
-    scale = math.lcm(*dens)
-    return [e.numerator * (scale // d) for e, d in zip(values, dens)], scale
+def _cleared(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """A rational vector as integers over one scale, the lcm of its reduced
+    denominators; no prime divides the scale and all the integers, so equal
+    vectors give equal pairs."""
+    pairs = [e.as_integer_ratio() for e in values]
+    scale = math.lcm(*[d for _, d in pairs])
+    return tuple([a * (scale // d) for a, d in pairs]), scale
+
+
+def _canonical(ints: list[int], scale: int) -> tuple[tuple[int, ...], int]:
+    """The `_cleared` pair of the vector ints / scale, for nonzero scale."""
+    g = math.gcd(*ints, scale) * (1 if scale > 0 else -1)
+    return tuple([v // g for v in ints]), scale // g
+
+
+def _entries(form) -> tuple[Fraction, ...]:
+    """The entries of a row form; zeros and integers are made cheaply."""
+    return tuple(chain.from_iterable(
+        map(Fraction, ints) if s == 1 else
+        [Fraction(v, s) if v else _ZERO for v in ints] for ints, s in form))
 
 
 def _eliminate(mat: RationalMatrix,
-               reduced: bool = False) -> tuple[list[list[int]], list[int]]:
+               reduced: bool = False) -> tuple[list[list[int]], tuple[int, ...]]:
     """Fraction-free (Bareiss) elimination on denominator-cleared rows.
 
     Returns the integer rows and the pivot columns; the pivot rows come
@@ -196,9 +248,11 @@ def _eliminate(mat: RationalMatrix,
     exact because every entry is a minor of the cleared matrix (Bareiss,
     Math. Comp. 22 (1968) 565-578).  The forward sweep alone gives rank and
     pivots; `reduced` also clears the entries above each pivot, which leaves
-    every pivot row with the last pivot as its leading entry.
+    every pivot row with the last pivot as its leading entry.  The rows are
+    copies of the matrix's row form, which stays as it was; the pivots are
+    the same for both sweeps, and the matrix keeps them.
     """
-    rows = [_cleared(mat.row(i))[0] for i in range(mat.rows)]
+    rows = [list(r) for r, _ in mat._row_form]
     m = mat.rows
     pivots: list[int] = []
     prev = 1
@@ -217,21 +271,23 @@ def _eliminate(mat: RationalMatrix,
                 continue
             row_i = rows[i]
             lead = row_i[c]
-            # rows below the pivot row hold only zeros left of column c
+            # rows below the pivot row hold only zeros left of column c; a row
+            # with a zero lead is only rescaled, so its zero entries stay zero
             for j in range(0 if i < r else c, mat.cols):
-                q, rem = divmod(pivot * row_i[j] - lead * row_r[j], prev)
-                if rem:
-                    raise AssertionError(
-                        "fraction-free elimination lost exactness")
-                row_i[j] = q
+                if lead or row_i[j]:
+                    q, rem = divmod(pivot * row_i[j] - lead * row_r[j], prev)
+                    if rem:
+                        raise AssertionError(
+                            "fraction-free elimination lost exactness")
+                    row_i[j] = q
         prev = pivot
         pivots.append(c)
-    return rows, pivots
+    return rows, mat.__dict__.setdefault("_pivots", tuple(pivots))
 
 
 def rank(mat: RationalMatrix) -> int:
     """Exact rank: the pivot count of the forward elimination."""
-    return len(_eliminate(mat)[1])
+    return len(mat._pivots)
 
 
 def _rref(mat: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -245,7 +301,7 @@ def _rref(mat: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
     out = [[Fraction(a, row[c]) if a else zero for a in row]
            for row, c in zip(rows, pivots)]
     out += [[zero] * mat.cols for _ in range(mat.rows - len(pivots))]
-    return out, pivots
+    return out, list(pivots)
 
 
 def kernel_basis(mat: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -284,11 +340,13 @@ def solve(mat: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
     if rhs.rows != mat.rows:
         raise DimensionMismatchError("right-hand side row mismatch")
     n = mat.rows
-    aug, pivots = _rref(hstack(mat, rhs))
-    if pivots[:n] != list(range(n)):
+    aug, pivots = _eliminate(hstack(mat, rhs), reduced=True)
+    if pivots[:n] != tuple(range(n)):
         raise SingularMatrixError(
             f"coefficient matrix has rank {sum(p < n for p in pivots)} < {n}")
-    return RationalMatrix.from_rows([r[n:] for r in aug], cols=rhs.cols)
+    # every pivot row of the reduced form leads with the last pivot
+    form = tuple(_canonical(row[n:], aug[-1][n - 1]) for row in aug)
+    return RationalMatrix._trusted(n, rhs.cols, _entries(form), _row_form=form)
 
 
 def select_independent_rows(mat: RationalMatrix,
@@ -298,12 +356,12 @@ def select_independent_rows(mat: RationalMatrix,
     Row i is picked when it is independent of the rows before it, which
     makes the picks the pivot columns of the transpose.
     """
-    pivots = _eliminate(mat.transpose())[1]
+    pivots = mat.transpose()._pivots
     target = len(pivots) if count is None else count
     if len(pivots) < target:
         raise RankDeficientInputError(
             f"only {len(pivots)} independent rows, needed {target}")
-    return pivots[:target]
+    return list(pivots[:target])
 
 
 def complete_to_invertible(partial: RationalMatrix,
@@ -327,9 +385,8 @@ def complete_to_invertible(partial: RationalMatrix,
         raise DimensionMismatchError("block is taller than its width")
     # the pivot columns of (partial^T | I) are the block's rows, when they are
     # independent, then the greedy choice of standard basis vectors
-    pivots = _eliminate(hstack(partial.transpose(),
-                               RationalMatrix.identity(n)))[1]
-    if pivots[:k] != list(range(k)):
+    pivots = hstack(partial.transpose(), RationalMatrix.identity(n))._pivots
+    if pivots[:k] != tuple(range(k)):
         raise RankDeficientInputError("block does not have full row rank")
     added = RationalMatrix.identity(n).take_rows([p - k for p in pivots[k:]])
     return vstack(partial, added) if side == "below" else vstack(added, partial)

@@ -161,14 +161,12 @@ class QPSystem:
         if b.rows != a.cols:
             raise DimensionMismatchError(
                 f"A has {a.cols} cols but B has {b.rows} rows; both must equal m")
-        seen = {}
-        for j in range(b.rows):
-            r = b.row(j)
-            if r in seen:
-                raise DuplicateQuasimonomialsError(
-                    f"rows {seen[r]} and {j} of B are identical; "
-                    "merge them with merge_degenerate_qms")
-            seen[r] = j
+        keys = b._row_form  # equal rows have equal integer forms
+        if len(set(keys)) < len(keys):
+            j = next(j for j, key in enumerate(keys) if key in keys[:j])
+            raise DuplicateQuasimonomialsError(
+                f"rows {keys.index(keys[j])} and {j} of B are identical; "
+                "merge them with merge_degenerate_qms")
 
     @property
     def n(self) -> int:
@@ -177,6 +175,11 @@ class QPSystem:
     @property
     def m(self) -> int:
         return self.B.rows
+
+    @cached_property
+    def _mmatrix(self) -> RationalMatrix:
+        # kept, so that its integer forms and pivots are built once per system
+        return hstack(column_matrix(self.lam), self.A)
 
     @cached_property
     def _float_form(self) -> FloatForm:
@@ -212,8 +215,8 @@ class QPFlow(QPSystem):
 
 
 def mmatrix(obj: QPSystem) -> RationalMatrix:
-    """The n x (m+1) coefficient matrix (lam | A)."""
-    return hstack(column_matrix(obj.lam), obj.A)
+    """The n x (m+1) coefficient matrix (lam | A), one per system."""
+    return obj._mmatrix
 
 
 def _field(qp: QPSystem, s: State, exp_bound: float = DEFAULT_EXP_BOUND

@@ -19,6 +19,7 @@ dimension-raising embedding when m > n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -33,7 +34,6 @@ from .errors import (
 )
 from .linalg import (
     RationalMatrix,
-    _eliminate,
     complete_to_invertible,
     hstack,
     inverse,
@@ -100,15 +100,14 @@ def merge_degenerate_qms(lam, A: RationalMatrix, B: RationalMatrix) -> QPMap:
     n = len(lam)
     if A.rows != n or B.cols != n or A.cols != B.rows:
         raise DimensionMismatchError("inconsistent lam/A/B shapes")
-    cols: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
-    for j in range(B.rows):
-        row, col = B.row(j), A.col(j)
-        if row in cols:
-            col = tuple(a + b for a, b in zip(cols[row], col))
-        cols[row] = col  # a dict keeps the first-occurrence order
+    # rows keyed by their integer forms; a dict keeps the first-occurrence order
+    first: dict[tuple, int] = {}
+    cols: dict[int, tuple[Fraction, ...]] = {}
+    for j, key in enumerate(B._row_form):
+        i = first.setdefault(key, j)
+        cols[i] = A.col(j) if i == j else tuple(map(operator.add, cols[i], A.col(j)))
     a = RationalMatrix.from_rows(list(cols.values()), cols=n).transpose()
-    b = RationalMatrix.from_rows(list(cols), cols=n)
-    return QPMap(lam=lam, A=a, B=b)
+    return QPMap(lam=lam, A=a, B=B.take_rows(cols))
 
 
 def _truncate(mapped: QPMap, r: int, q: tuple[Fraction, ...] | None) -> QPMap:
@@ -118,14 +117,12 @@ def _truncate(mapped: QPMap, r: int, q: tuple[Fraction, ...] | None) -> QPMap:
     leave an all-zero row: the constant quasimonomial 1, whose coefficient
     column is folded into lam.
     """
-    a_rows = [mapped.A.row(i) for i in range(r)]
+    a = mapped.A.take_rows(range(r))
     if q is not None:
-        a_rows = [[v * qj for v, qj in zip(row, q)] for row in a_rows]
-    merged = merge_degenerate_qms(
-        mapped.lam[:r], RationalMatrix.from_rows(a_rows, cols=mapped.m),
-        mapped.B.take_cols(range(r)))
-    zero = (Fraction(0),) * r
-    z = next((j for j in range(merged.m) if merged.B.row(j) == zero), None)
+        a = RationalMatrix(r, a.cols, tuple(map(operator.mul, a.entries, q * r)))
+    merged = merge_degenerate_qms(mapped.lam[:r], a, mapped.B.take_cols(range(r)))
+    z = next((j for j, (ints, _) in enumerate(merged.B._row_form)
+              if not any(ints)), None)
     if z is None:
         return merged
     keep = [j for j in range(merged.m) if j != z]
@@ -160,7 +157,7 @@ def _kernel_decouple(qp: QPMap, kind: StepKind
             "identity block conflicts with the kernel structure")
     t = QMTransform(c_total)
     mapped = apply_qm(qp, t)
-    if any(mapped.B[j, k] != 0 for j in range(mapped.m) for k in range(r, n)):
+    if any(any(ints[r:]) for ints, _ in mapped.B._row_form):
         raise IllConditionedBlockError("kernel columns did not vanish")
     reduced = _truncate(mapped, r, None)
     record = StepRecord(kind=kind, transform=t,
@@ -203,7 +200,7 @@ def reduce_step3(qp: QPMap,
         raise RankDeficientInputError(
             "B must have full column rank; run reduce_step2 first")
     big_m = mmatrix(qp)
-    col_pivots = _eliminate(big_m)[1]
+    col_pivots = big_m._pivots
     r = len(col_pivots)
     if r == n:
         return None
@@ -215,7 +212,7 @@ def reduce_step3(qp: QPMap,
     t = QMTransform(d).inverse_transform()
     mapped = apply_qm(qp, t)
     new_m = mmatrix(mapped)
-    if any(new_m[i, j] != 0 for i in range(r, n) for j in range(new_m.cols)):
+    if any(any(ints) for ints, _ in new_m._row_form[r:]):
         raise IllConditionedBlockError(
             "conserved rows of the coefficient matrix did not vanish")
 
@@ -291,8 +288,9 @@ def evaluate_constant(c: ConstantOfMotion, s: State) -> float:
 def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
     """Full reduction to non-redundant form with an exact audit trail.
 
-    Runs step 1, step 2, then step 3 repeatedly (each pass strictly lowers
-    the dimension, so at most n passes are possible).  Constants of motion
+    Runs step 1, or step 2 when step 1 does not apply (a step 1 that applies
+    decouples the whole kernel of B), then step 3 until it finds nothing to
+    decouple; each step strictly lowers the dimension.  Constants of motion
     discovered by step-3 passes are pulled back to the original variables;
     their values are filled in when an initial state is supplied.
     """
@@ -301,29 +299,14 @@ def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
         raise DimensionMismatchError("initial state length does not match map")
     records: list[StepRecord] = []
     constants: list[ConstantOfMotion] = []
-    cur = qp
-    cur_state = initial
-
-    for reduce_step in (reduce_step1, reduce_step2):
-        out = reduce_step(cur)
-        if out is not None:
-            cur, rec = out
-            records.append(rec)
-            if cur_state is not None:
-                cur_state = push_state(rec, cur_state)
-
-    passes = 0
-    while True:
-        out = reduce_step3(cur, cur_state)
-        if out is None:
-            break
-        passes += 1
-        if passes > qp.n + 1:
-            raise AssertionError("step-3 loop exceeded its dimension cap")
+    cur, cur_state = qp, initial
+    out = reduce_step1(cur) or reduce_step2(cur) or reduce_step3(cur, cur_state)
+    while out is not None:
+        if len(records) > qp.n:
+            raise AssertionError("reduction exceeded its dimension cap")
         nxt, rec = out
         d = rec.transform.c_inv
-        r = cur.n - len(rec.decoupled_indices)
-        for j in range(r, cur.n):
+        for j in range(nxt.n, cur.n) if rec.kind is StepKind.STEP3 else ():
             exps = _pullback_exponents(records, d.row(j))
             value = (evaluate_constant(ConstantOfMotion(exps), initial)
                      if initial is not None else None)
@@ -332,6 +315,7 @@ def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
         records.append(rec)
         if cur_state is not None:
             cur_state = push_state(rec, cur_state)
+        out = reduce_step3(cur, cur_state)
 
     final_m = mmatrix(cur)
     if not (cur.m >= cur.n and rank(cur.B) == cur.n and rank(final_m) == cur.n):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qpmaps.errors import (
     DimensionMismatchError,
@@ -12,6 +12,9 @@ from qpmaps.errors import (
 )
 from qpmaps.linalg import (
     RationalMatrix,
+    _cleared,
+    _eliminate,
+    _rref,
     complete_to_invertible,
     hstack,
     inverse,
@@ -150,3 +153,141 @@ def test_stacking_and_products():
     assert vstack(a, b).rows == 4
     assert a + RationalMatrix.zeros(2, 2) == a
     assert a.scale(Fraction(1, 2)) == M([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
+
+
+# -- the kept integer forms ------------------------------------------------------
+
+FORMS = ("_row_form", "_col_form", "_pivots")
+
+
+def assert_forms_are_fresh(mat, label=""):
+    """Every kept form, seeded or built here, equals one made from the entries."""
+    assert all(type(e) is Fraction for e in mat.entries), label
+    fresh = bare(mat)
+    assert mat._row_form == tuple(
+        _cleared(fresh.row(i)) for i in range(mat.rows)), label
+    assert mat._col_form == tuple(
+        _cleared(fresh.col(j)) for j in range(mat.cols)), label
+    assert mat._pivots == _eliminate(fresh)[1], label
+    for form in (mat._row_form, mat._col_form):
+        assert all(type(ints) is tuple and scale > 0
+                   for ints, scale in form), label
+
+
+def built(mat):
+    """`mat` with all three forms built, so that producers can hand them on."""
+    for name in FORMS:
+        getattr(mat, name)
+    return mat
+
+
+def bare(mat):
+    """A copy of `mat` with no form built yet."""
+    return RationalMatrix(mat.rows, mat.cols, mat.entries)
+
+
+def produced(a, b, square):
+    """Every internal producer, on operands with and without built forms."""
+    inv = inverse(bare(square))
+    return {
+        "matmul": bare(a) @ bare(b),
+        "matmul-built": built(bare(a)) @ built(bare(b)),
+        "transpose": bare(a).transpose(),
+        "transpose-built": built(bare(a)).transpose(),
+        "take_rows": built(bare(a)).take_rows([a.rows - 1, 0]),
+        "take_cols": built(bare(a)).take_cols([a.cols - 1, 0]),
+        "submatrix": bare(a).submatrix([0], [a.cols - 1]),
+        "hstack": hstack(built(bare(a)), bare(a)),
+        "vstack": vstack(bare(a), built(bare(a))),
+        "solve": solve(bare(square), bare(square) @ bare(b)),
+        "inverse": inv,
+        "inverse-inverse": inverse(inv),
+        "identity": RationalMatrix.identity(square.rows),
+        "zeros": RationalMatrix.zeros(2, 3),
+        "add": bare(a) + bare(a),
+        "scale": bare(a).scale(Fraction(-3, 4)),
+    }
+
+
+def rows_of(count, width):
+    return st.lists(st.lists(frac, min_size=width, max_size=width),
+                    min_size=count, max_size=count).map(
+                        lambda rows: M(rows, cols=width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(4), st.data())
+def test_every_producer_keeps_forms_equal_to_fresh_ones(a, data):
+    b = data.draw(rows_of(a.cols, 3))
+    square = data.draw(rows_of(a.cols, a.cols))
+    assume(rank(square) == a.cols)
+    for name, mat in produced(a, b, square).items():
+        assert_forms_are_fresh(mat, name)
+
+
+def test_seeded_forms_are_canonical_after_cancellation():
+    # the dot products 2 and 4 share the factor 2 with the scale 4
+    prod = M([[Fraction(1, 2), Fraction(1, 2)]]) @ M([[2, 4], [2, 4]])
+    assert "_row_form" in prod.__dict__
+    assert prod._row_form == (((2, 4), 1),)
+    # a negative last pivot: the solution's scale is made positive
+    x = inverse(M([[0, 1], [1, 0]]))
+    assert "_row_form" in x.__dict__
+    assert_forms_are_fresh(x)
+    assert x._row_form == (((0, 1), 1), ((1, 0), 1))
+    assert_forms_are_fresh(inverse(M([[3, 1], [5, 2]]).scale(Fraction(1, 7))))
+
+
+def test_transpose_swaps_built_forms():
+    a = built(M([[Fraction(1, 2), 3], [0, Fraction(-2, 3)], [1, 1]]))
+    t = a.transpose()
+    assert t.__dict__["_row_form"] is a._col_form
+    assert t.__dict__["_col_form"] is a._row_form
+    assert "_pivots" not in t.__dict__
+
+
+@pytest.mark.parametrize("use", [
+    rank,
+    _rref,
+    kernel_basis,
+    lambda m: solve(m, RationalMatrix.identity(m.rows)),
+    lambda m: m @ m,
+    lambda m: select_independent_rows(m),
+    lambda m: complete_to_invertible(m.take_rows([0])),
+])
+def test_readers_leave_kept_forms_unchanged(use):
+    mat = built(M([[2, Fraction(1, 3), 0], [1, 1, 1], [0, 5, Fraction(-1, 2)]]))
+    before = {name: getattr(mat, name) for name in FORMS}
+    copies = {name: repr(form) for name, form in before.items()}
+    use(mat)
+    use(mat)
+    for name in FORMS:
+        assert getattr(mat, name) is before[name]
+        assert repr(getattr(mat, name)) == copies[name]
+    assert_forms_are_fresh(mat)
+
+
+def test_identity_is_shared_per_size():
+    assert RationalMatrix.identity(3) is RationalMatrix.identity(3)
+    assert RationalMatrix.identity(3) == M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_public_constructors_keep_their_checks():
+    with pytest.raises(DimensionMismatchError):
+        RationalMatrix(2, 2, (1, 2, 3))
+    with pytest.raises(DimensionMismatchError):
+        M([[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError):
+        M([[1, 2]], cols=3)
+    with pytest.raises(DimensionMismatchError):
+        M([])
+    with pytest.raises(DimensionMismatchError):
+        RationalMatrix.identity(-1)
+    with pytest.raises(DimensionMismatchError):
+        RationalMatrix.zeros(-1, 2)
+    with pytest.raises(IndexError):
+        RationalMatrix.identity(2).take_cols([2])
+    assert M([], cols=2) == RationalMatrix(0, 2, ())
+    mixed = RationalMatrix(1, 3, (1, "1/2", Fraction(2, 4)))
+    assert all(type(e) is Fraction for e in mixed.entries)
+    assert mixed._row_form == (((2, 1, 1), 2),)

@@ -30,6 +30,7 @@ from qpmaps import (
 )
 from qpmaps.errors import (
     DimensionMismatchError,
+    DuplicateQuasimonomialsError,
     NotApplicableError,
     NotNonRedundantError,
     OverflowDivergenceError,
@@ -77,6 +78,22 @@ def test_merge_noop_and_full_collapse():
     clean = QPMap(lam=(1,), A=M([[2]]), B=M([[3]]))
     again = merge_degenerate_qms(clean.lam, clean.A, clean.B)
     assert again == clean
+
+
+@pytest.mark.parametrize("first, second", [
+    ((Fraction(2, 4), 1), (Fraction(1, 2), Fraction(1))),
+    ((1, 0), (Fraction(1), Fraction(0))),
+    (("1/2", "-3"), (Fraction(1, 2), -3)),
+])
+def test_duplicate_rows_written_differently(first, second):
+    lam = (Fraction(1), Fraction(2))
+    a = M([[1, 2, 3], [4, 5, 6]])
+    b = M([first, [0, 1], second])
+    with pytest.raises(DuplicateQuasimonomialsError, match="rows 0 and 2"):
+        QPMap(lam=lam, A=a, B=b)
+    merged = merge_degenerate_qms(lam, a, b)
+    assert merged.B == M([first, [0, 1]])
+    assert merged.A == M([[4, 2], [10, 5]])
 
 
 # -- step 1 --------------------------------------------------------------------
@@ -140,6 +157,47 @@ def test_step2_requires_step1_first():
     qp = QPMap(lam=(0, 0), A=M([[1], [1]]), B=M([[1, 0]]))
     with pytest.raises(DimensionMismatchError):
         reduce_step2(qp)
+
+
+def seeded_maps_with_a_kernel():
+    """Random maps with m < n, and inflated redundant maps."""
+    rng = make_rng("step1-then-step2")
+    for trial in range(80):
+        n = rng.randint(2, 5)
+        if trial % 2:
+            yield random_qp_map(rng, n, rng.randint(1, n - 1), max_num=2,
+                                max_den=2, b_int=trial % 4 == 1)
+        else:
+            core = random_nonredundant_map(rng, n, n + trial % 3)
+            yield inflate_map(rng, core, trial % 3, 1 + trial % 2)
+
+
+def test_step2_finds_nothing_after_step1_applies():
+    # step 1 keeps the pivot columns of B, which are independent
+    applied = 0
+    for qp in seeded_maps_with_a_kernel():
+        out = reduce_step1(qp)
+        if out is not None:
+            applied += 1
+            assert reduce_step2(out[0]) is None
+    assert applied >= 60
+
+
+def test_reduce_runs_step2_only_when_step1_does_not_apply(monkeypatch):
+    import qpmaps.reduction as reduction
+
+    seen = []
+
+    def counting(qp):
+        seen.append(qp)
+        return reduce_step2(qp)
+
+    monkeypatch.setattr(reduction, "reduce_step2", counting)
+    for qp in seeded_maps_with_a_kernel():
+        seen.clear()
+        report = reduction.reduce(qp)
+        step1_applied = report.steps and report.steps[0].kind is StepKind.STEP1
+        assert seen == ([] if step1_applied else [qp])
 
 
 @pytest.mark.parametrize("reduce_step, qp", [
