@@ -86,10 +86,11 @@ def _constants(constants) -> list[dict]:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
+    """Write the report file, then stdout: a failed write prints no report."""
     text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _check_steps(field: str, value: float, eps: Fraction | None) -> None:
@@ -338,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="tolerance recorded for float assertions "
-                            "(default 1e-9)")
         p.add_argument("--out", default=None,
                        help="write the primary output file here")
 
@@ -398,8 +396,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:  # args.func is read per call, so a wrapped _cmd_* is what runs
         sections, code = args.func(args)
+        report = {"command": args.command, **sections,
+                  "tolerances": sections.get("tolerances", {}),
+                  "timing": {"seconds": round(time.perf_counter() - started, 6)}}
+        _emit(report, args.out if args.command != "simulate" else None)
     except ModelFileError as err:
         print(f"qpmaps: input error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as err:  # model files are read with their own errors
+        print(f"qpmaps: input error: cannot write {err.filename}: "
+              f"{err.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except _DIVERGENCE_ERRORS as err:
         print(f"qpmaps: divergence: {err}", file=sys.stderr)
@@ -407,12 +413,6 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as err:
         print(f"qpmaps: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    report = {"command": args.command, **sections}
-    report["tolerances"] = {"float_assertions": args.tolerance,
-                            **sections.get("tolerances", {})}
-    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    out = args.out if args.command != "simulate" else None
-    _emit(report, out)
     return code
 
 

@@ -22,8 +22,8 @@ class RankDeficientInputError(QPError):
 class IllConditionedBlockError(QPError):
     """The structured block layout needed by a decoupling transform is unreachable.
 
-    With the column-permutation pre-pass this should never trigger; it exists
-    as a loud guard against construction bugs.
+    A loud guard against construction bugs: the variables a decoupling
+    transform should decouple still appear in B or in (lam | A).
     """
 
 

@@ -3,14 +3,15 @@
 Every structural decision in this package (rank tests, kernels, inverses,
 basis completions) is made over exact rationals so that rank conditions are
 never at the mercy of floating-point noise.  The arithmetic itself runs on
-Python integers.  Each matrix keeps, built on first use, the integer form of
-its rows and that of its columns (each vector as integers over the lcm of its
-denominators) and the pivot columns of its forward elimination.  One
-fraction-free (Bareiss) elimination of the integer rows gives rank, pivot
-columns and, with the entries above the pivots cleared as well, the reduced
-row echelon form that kernel, inverse and solve read; a pivot row becomes
-`Fraction`s only by one division at the end.  A product makes one `Fraction`
-per entry from an integer dot product of a kept row and a kept column.
+Python integers.  Each matrix keeps, built on first use, one integer form,
+that of its rows (each row as integers over the lcm of its denominators),
+and the pivot columns of its forward elimination.  One fraction-free
+(Bareiss) elimination of the integer rows gives rank, pivot columns and,
+with the entries above the pivots cleared as well, the reduced row echelon
+form that kernel, inverse and solve read; a pivot row becomes `Fraction`s
+only by one division at the end.  A product makes one `Fraction` per entry
+from an integer dot product of a kept row of the left factor and a column
+of the right factor's kept rows, brought to one common denominator.
 Results made here skip the checks of the public constructor, and products
 and solutions hand over the row form they already hold.
 """
@@ -64,20 +65,15 @@ class RationalMatrix:
     def _trusted(cls, rows: int, cols: int, entries: tuple[Fraction, ...],
                  **forms) -> "RationalMatrix":
         """A matrix of `Fraction`s made in this module: no checks, and the
-        integer forms its producer already holds (None for one it does not)."""
+        row form its producer already holds, if any."""
         mat = object.__new__(cls)
-        mat.__dict__.update(rows=rows, cols=cols, entries=entries)
-        mat.__dict__.update((k, v) for k, v in forms.items() if v is not None)
+        mat.__dict__.update(rows=rows, cols=cols, entries=entries, **forms)
         return mat
 
     @cached_property
     def _row_form(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each row as `_cleared` gives it; `_col_form` likewise per column."""
+        """Each row as `_cleared` gives it: the one integer form kept."""
         return tuple(_cleared(self.row(i)) for i in range(self.rows))
-
-    @cached_property
-    def _col_form(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        return tuple(_cleared(self.col(j)) for j in range(self.cols))
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
@@ -136,21 +132,20 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         flat = tuple(chain.from_iterable(map(self.col, range(self.cols))))
-        built = self.__dict__.get
-        return RationalMatrix._trusted(
-            self.cols, self.rows, flat,
-            _row_form=built("_col_form"), _col_form=built("_row_form"))
+        return RationalMatrix._trusted(self.cols, self.rows, flat)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # integer dot products of the kept rows and columns; each row of them,
-        # over one common scale, is the product's row form and gives its entries
-        right = other._col_form
+        # dot products of the kept rows with the columns of the right factor's
+        # rows over their common scale; each row of them gives a row form
+        right = other._row_form
         common = math.lcm(*[s for _, s in right])
-        form = tuple(_canonical([sum(map(operator.mul, a, b)) * (common // s)
-                                 for b, s in right], sa * common)
+        cols = (list(zip(*[[v * (common // s) for v in b] for b, s in right]))
+                if right else [()] * other.cols)
+        form = tuple(_canonical([sum(map(operator.mul, a, b)) for b in cols],
+                                sa * common)
                      for a, sa in self._row_form)
         return RationalMatrix._trusted(self.rows, other.cols, _entries(form),
                                        _row_form=form)

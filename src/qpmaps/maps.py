@@ -132,8 +132,7 @@ class FloatForm(NamedTuple):
 
     lam: tuple[float, ...]
     a_terms: tuple[tuple[tuple[int, float], ...], ...]  # nonzero (j, A_ij)
-    b_rows: tuple[tuple[float, ...], ...]
-    b_terms: tuple                                      # power_terms(b_rows)
+    b_terms: tuple                                      # power_terms of B
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,15 @@ class QPSystem:
     def _float_form(self) -> FloatForm:
         # built on first float use, never in __post_init__: the structural
         # code builds many systems it never steps
-        b_rows = self.B.to_float_rows()
-        return FloatForm(
-            lam=tuple(float(v) for v in self.lam),
-            a_terms=tuple(tuple((j, a) for j, a in enumerate(row) if a)
-                          for row in self.A.to_float_rows()),
-            b_rows=b_rows, b_terms=power_terms(b_rows))
+        try:
+            return FloatForm(
+                lam=tuple(float(v) for v in self.lam),
+                a_terms=tuple(tuple((j, a) for j, a in enumerate(row) if a)
+                              for row in self.A.to_float_rows()),
+                b_terms=power_terms(self.B.to_float_rows()))
+        except OverflowError as err:
+            raise OverflowDivergenceError(
+                f"a coefficient is past the float range: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -230,39 +232,34 @@ def _field(qp: QPSystem, s: State, exp_bound: float = DEFAULT_EXP_BOUND
         raise DimensionMismatchError(f"state length {len(s)} != n={qp.n}")
     form = qp._float_form
     q = power_values(form.b_terms, s, exp_bound)
-    xi = [math.fsum([lam_i] + [a * q[j] for j, a in terms])
-          for lam_i, terms in zip(form.lam, form.a_terms)]
+    try:
+        xi = [math.fsum([lam_i] + [a * q[j] for j, a in terms])
+              for lam_i, terms in zip(form.lam, form.a_terms)]
+    except (OverflowError, ValueError) as err:  # past the range, or inf - inf
+        raise OverflowDivergenceError(
+            f"the field left the float range: {err}") from err
     return q, xi
 
 
 def quasimonomials(qp: QPSystem, s: State) -> tuple[float, ...]:
     """Evaluate all m quasimonomials prod_k x_k**B[j][k] at the state."""
-    if len(s) != qp.n:
-        raise DimensionMismatchError(f"state length {len(s)} != n={qp.n}")
-    return tuple(power_values(qp._float_form.b_terms, s, DEFAULT_EXP_BOUND))
+    return tuple(_field(qp, s)[0])
 
 
 def step(qp: QPMap, s: State, exp_bound: float = DEFAULT_EXP_BOUND) -> State:
     """One update of the map; strictly positive output or OverflowDivergenceError."""
-    try:
-        args = _field(qp, s, exp_bound)[1]
-        out = []
-        for i, arg in enumerate(args):
-            if abs(arg) > exp_bound:
-                raise OverflowDivergenceError(
-                    f"exponent argument {arg:.3g} for variable {i} exceeds "
-                    f"bound {exp_bound}", argument=arg)
-            v = s[i] * math.exp(arg)
-            if not (math.isfinite(v) and v > 0.0):
-                raise OverflowDivergenceError(
-                    f"variable {i} left the positive float range (value {v!r})",
-                    argument=arg)
-            out.append(v)
-    except OverflowError as err:
-        # math.exp overflows near 709.78, so only an exp_bound above that
-        # gets here
-        raise OverflowDivergenceError(
-            f"an exponential left the float range: {err}") from err
+    out = []
+    for i, arg in enumerate(_field(qp, s, exp_bound)[1]):
+        if abs(arg) > exp_bound:
+            raise OverflowDivergenceError(
+                f"exponent argument {arg:.3g} for variable {i} exceeds "
+                f"bound {exp_bound}", argument=arg)
+        v = s[i] * checked_exp(arg)  # only an exp_bound above 709.78 can fail
+        if not (math.isfinite(v) and v > 0.0):
+            raise OverflowDivergenceError(
+                f"variable {i} left the positive float range (value {v!r})",
+                argument=arg)
+        out.append(v)
     return State._checked(tuple(out))
 
 
@@ -288,16 +285,18 @@ def _jacobian_rows(qp: QPSystem, s: State, q: list[float], gain: list[float],
                    diag: list[float]) -> tuple[tuple[float, ...], ...]:
     """Entries x_i gain_i sum_j A[i][j] B[j][l] q_j / x_l + delta_il diag_i."""
     form = qp._float_form
-    b_rows = form.b_rows
     rows = []
     for i, terms in enumerate(form.a_terms):
-        row = []
-        for l in range(qp.n):
-            inner = sum(a * b_rows[j][l] * q[j] for j, a in terms)
-            val = s[i] * gain[i] * inner / s[l]
-            if i == l:
-                val += diag[i]
-            row.append(val)
+        inner = [0] * qp.n  # nonzero terms only, in a dense sum's order of j
+        for j, a in terms:
+            term = form.b_terms[j]
+            if type(term) is int:  # B[j] is the unit row e_term
+                inner[term] += a * q[j]
+            else:
+                for l, b in term:
+                    inner[l] += a * b * q[j]
+        row = [s[i] * gain[i] * v / s[l] for l, v in enumerate(inner)]
+        row[i] += diag[i]
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -310,7 +309,7 @@ def jacobian(qp: QPMap, s: State) -> tuple[tuple[float, ...], ...]:
     with E_i = exp(lam_i + sum_j A[i][j] q_j).
     """
     q, xi = _field(qp, s)
-    exps = [math.exp(f) for f in xi]
+    exps = [checked_exp(f) for f in xi]
     return _jacobian_rows(qp, s, q, exps, exps)
 
 
@@ -319,7 +318,8 @@ def find_interior_fixed_point(qp: QPMap) -> State:
 
     Solves lam + A q = 0 exactly; when every q_j is positive, recovers x from
     B log x = log q in floating point.  Raises FixedPointNotFound when A is
-    singular, some q_j <= 0, or the residual check fails.
+    singular, some q_j <= 0, q or B^-1 has no float form, or the residual
+    check fails.
     """
     if qp.m != qp.n:
         raise DimensionMismatchError(
@@ -340,8 +340,12 @@ def find_interior_fixed_point(qp: QPMap) -> State:
     if rank(qp.B) < n:
         raise NotNonRedundantError(
             "B is singular; reduce or embed the map before fixed-point solving")
-    b_inv = inverse(qp.B).to_float_rows()
-    log_q = [math.log(float(v)) for v in q]
+    try:  # ValueError: a q_j that rounds to 0.0 has no log
+        b_inv = inverse(qp.B).to_float_rows()
+        log_q = [math.log(float(v)) for v in q]
+    except (OverflowError, ValueError) as err:
+        raise FixedPointNotFound(
+            f"the fixed point's data is past the float range: {err}") from err
     x = tuple(checked_exp(sum(b * lq for b, lq in zip(row, log_q)))
               for row in b_inv)
     fp = State(x)

@@ -35,7 +35,6 @@ from .errors import (
 from .linalg import (
     RationalMatrix,
     complete_to_invertible,
-    hstack,
     inverse,
     kernel_basis,
     rank,
@@ -140,22 +139,16 @@ def _kernel_decouple(qp: QPMap, kind: StepKind
 
     Columns r+1..n of the transform are a kernel basis of B, so those
     variables disappear from every quasimonomial; the leading columns are the
-    unit vectors of B's pivot columns.  A kernel vector's last nonzero entry
-    is its free column, so one reduced elimination gives both.
+    unit vectors that complete it, in ascending index order, which are the
+    unit vectors of B's pivot columns.
     """
     n = qp.n
     kern = kernel_basis(qp.B)
     if not kern:
         return None
-    free = {max(k for k, v in enumerate(vec) if v) for vec in kern}
-    pivots = [c for c in range(n) if c not in free]
-    r = len(pivots)
-    kern_cols = RationalMatrix.from_rows(kern, cols=n).transpose()
-    c_total = hstack(RationalMatrix.identity(n).take_cols(pivots), kern_cols)
-    if rank(c_total) != n:
-        raise IllConditionedBlockError(
-            "identity block conflicts with the kernel structure")
-    t = QMTransform(c_total)
+    r = n - len(kern)
+    t = QMTransform(complete_to_invertible(
+        RationalMatrix.from_rows(kern, cols=n), side="above").transpose())
     mapped = apply_qm(qp, t)
     if any(any(ints[r:]) for ints, _ in mapped.B._row_form):
         raise IllConditionedBlockError("kernel columns did not vanish")

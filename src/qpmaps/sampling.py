@@ -11,6 +11,7 @@ import os
 import random
 from fractions import Fraction
 
+from .errors import ModelFileError
 from .linalg import RationalMatrix, rank
 from .maps import QPFlow, QPMap, State, mmatrix
 from .transforms import QMTransform
@@ -19,7 +20,12 @@ DEFAULT_SEED = 20260808
 
 
 def seed_from_env() -> int:
-    return int(os.environ.get("QP_SEED", DEFAULT_SEED))
+    value = os.environ.get("QP_SEED", DEFAULT_SEED)
+    try:
+        return int(value)
+    except ValueError as err:
+        raise ModelFileError(f"not an integer: {value!r}",
+                             field="QP_SEED") from err
 
 
 def make_rng(tag: str = "", seed: int | None = None) -> random.Random:

@@ -1,7 +1,11 @@
 """End-to-end CLI tests: exit codes, report structure, CSV output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from qpmaps.cli import main
 from qpmaps.linalg import RationalMatrix
 
 M = RationalMatrix.from_rows
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *args):
@@ -431,10 +436,8 @@ def test_main_looks_up_the_simulate_command_by_name(capsys, tmp_path,
 def test_discretize_tolerances_are_the_library_constants(capsys, flow_model):
     from qpmaps.discretization import EULER_FIXED_POINT_TOL, JACOBIAN_MATCH_TOL
 
-    _, out, _ = run_cli(capsys, "discretize", flow_model, "--eps", "1/10",
-                        "--tolerance", "1e-7")
+    _, out, _ = run_cli(capsys, "discretize", flow_model, "--eps", "1/10")
     assert report_of(out)["tolerances"] == {
-        "float_assertions": 1e-7,
         "euler_fixed_point": EULER_FIXED_POINT_TOL,
         "jacobian_match": JACOBIAN_MATCH_TOL,
     }
@@ -446,3 +449,68 @@ def test_discretize_checks_initial_without_an_orbit(capsys, flow_model):
                              "--initial", "abc")
     assert code == 2
     assert out == "" and "--initial" in err
+
+
+@pytest.mark.parametrize("lam_star, scheme", [(-30, "euler"), (8000, "qp")])
+def test_discretize_reports_the_escaped_scheme(capsys, tmp_path, lam_star,
+                                               scheme):
+    # at eps 1/10, 1 + eps lam* = -2 leaves the orthant; eps lam* = 800 is
+    # past the exponent bound of 700
+    flow = QPFlow(lam_star=(lam_star,), A_star=M([[0]]), B=M([[1]]))
+    path = tmp_path / "escaping.json"
+    save_model(flow, path, initial=State((1.0,)))
+    code, out, _ = run_cli(capsys, "discretize", str(path), "--eps", "1/10",
+                           "--analysis", "divergence")
+    assert code == 4
+    escaped = report_of(out)["results"]["divergence"]["escaped"]
+    assert (escaped["scheme"], escaped["step"]) == (scheme, 1)
+
+
+HUGE_FLOW = {"kind": "flow", "n": 1, "m": 1, "lambda": ["1e400"],
+             "A": [["-1"]], "B": [["1"]], "initial": ["0.5"]}
+
+# (argv, QP_SEED, exit code, text on stderr); "{tmp}" is a scratch directory
+FAILING_RUNS = {
+    "report to a missing directory": (
+        ["reduce", "models/lv_2d.json", "--out", "{tmp}/missing/r.json"],
+        None, 2, "missing/r.json"),
+    "orbit to a missing directory": (
+        ["simulate", "models/lv_2d.json", "--steps", "3",
+         "--out", "{tmp}/missing/o.csv"], None, 2, "missing/o.csv"),
+    "non-integer seed": (
+        ["discretize", "models/logistic_flow.json", "--eps", "1/10"],
+        "abc", 2, "QP_SEED"),
+    "fixed point past the float range": (
+        ["discretize", "{tmp}/huge.json", "--eps", "1/10",
+         "--analysis", "fixed-point"], None, 0, ""),
+    "orbit past the float range": (
+        ["discretize", "{tmp}/huge.json", "--eps", "1/10",
+         "--analysis", "divergence"], None, 4, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_RUNS))
+def test_failures_exit_with_one_line_and_no_traceback(tmp_path, case):
+    argv, seed, want_code, want_err = FAILING_RUNS[case]
+    (tmp_path / "huge.json").write_text(json.dumps(HUGE_FLOW))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env.pop("QP_SEED", None)
+    if seed is not None:
+        env["QP_SEED"] = seed
+    run = subprocess.run(
+        [sys.executable, "-m", "qpmaps.cli",
+         *[a.format(tmp=tmp_path) for a in argv]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == want_code, run.stderr
+    assert "Traceback" not in run.stderr
+    if want_code == 2:
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1 and want_err in run.stderr
+    else:
+        assert run.stderr == ""
+        if "fixed-point" in argv:
+            fixed = report_of(run.stdout)["results"]["fixed_point"]
+            assert fixed["status"] == "skipped"
+    assert not (tmp_path / "missing").exists()

@@ -19,6 +19,8 @@ from qpmaps import (
     QPMap,
     State,
     check_commutativity,
+    check_fixed_point_coincidence,
+    euler_discretize,
     euler_jacobian,
     euler_step,
     iterate,
@@ -26,9 +28,12 @@ from qpmaps import (
     phi,
     phi_inverse,
     qp_discretize,
+    quasimonomials,
     step,
 )
 from qpmaps.discretization import _family_update
+from qpmaps.errors import FixedPointNotFound, OverflowDivergenceError
+from qpmaps.maps import _field, find_interior_fixed_point
 from qpmaps.linalg import RationalMatrix
 from qpmaps.sampling import (
     random_flow,
@@ -145,6 +150,68 @@ def test_euler_step_and_jacobian_match_the_reference(seed):
         assert_close(euler_step(em, s).values, ref_euler(system, s.x), s.x)
         assert_jacobian(euler_jacobian(em, s),
                         central_difference(lambda x: ref_euler(system, x), s.x))
+
+
+def dense_jacobian(qp, s, gain, diag):
+    """Jacobian entries from the dense float rows of A and B: every inner sum
+    adds all m terms, zeros included, one after another in increasing j."""
+    q = _field(qp, s)[0]
+    a, b = qp.A.to_float_rows(), qp.B.to_float_rows()
+    rows = []
+    for i in range(qp.n):
+        row = []
+        for l in range(qp.n):
+            inner = 0
+            for j in range(qp.m):
+                inner += a[i][j] * b[j][l] * q[j]
+            val = s[i] * gain[i] * inner / s[l]
+            if i == l:
+                val += diag[i]
+            row.append(val)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_jacobians_equal_the_dense_sums(seed):
+    rng = random.Random(f"dense-jacobian:{seed}")
+    lam, a, b = mixed_system(rng, 3 + seed % 3)
+    a = M([[0] * a.cols] + [a.row(i) for i in range(1, a.rows)], cols=a.cols)
+    qp, em = QPMap(lam, a, b), EulerMap(lam, a, b)
+    for _ in range(3):
+        s = random_positive_state(rng, qp.n, 0.5, 2.0)
+        exps = [math.exp(f) for f in _field(qp, s)[1]]
+        assert jacobian(qp, s) == dense_jacobian(qp, s, exps, exps)
+        xi = _field(em, s)[1]
+        assert euler_jacobian(em, s) == dense_jacobian(
+            em, s, [1.0] * em.n, [1.0 + f for f in xi])
+
+
+# x' = x (10**400 - x): every float reader meets a coefficient past the range
+HUGE_FLOW = QPFlow(lam_star=(10**400,), A_star=M([[-1]]), B=M([[1]]))
+
+
+@pytest.mark.parametrize("read", [
+    lambda: jacobian(QPMap(lam=(800,), A=M([[0]]), B=M([[1]])), State((1.0,))),
+    lambda: euler_step(euler_discretize(HUGE_FLOW, 1), State((1.0,))),
+    lambda: euler_jacobian(euler_discretize(HUGE_FLOW, 1), State((1.0,))),
+    lambda: quasimonomials(HUGE_FLOW, State((1.0,))),
+    lambda: step(qp_discretize(HUGE_FLOW, 1), State((1.0,))),
+    # the field's terms are +inf and -inf
+    lambda: step(QPMap(lam=(0,), A=M([[10**10, -10**10]]),
+                       B=M([[2], [Fraction(201, 100)]])), State((1e151,))),
+])
+def test_float_range_overflow_is_divergence(read):
+    with pytest.raises(OverflowDivergenceError):
+        read()
+
+
+def test_fixed_point_past_the_float_range_is_not_found():
+    # q = 10**400 solves lam + A q = 0 and has no float form
+    with pytest.raises(FixedPointNotFound):
+        find_interior_fixed_point(qp_discretize(HUGE_FLOW, Fraction(1, 10)))
+    rep = check_fixed_point_coincidence(HUGE_FLOW, Fraction(1, 10))
+    assert rep.status == "skipped" and "float range" in rep.reason
 
 
 FAMILIES = [
