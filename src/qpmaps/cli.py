@@ -2,9 +2,10 @@
 
 Reports are JSON documents with a fixed field order (command, inputs,
 results, exact_checks, tolerances, timing); everything except the timing
-field is byte-deterministic for identical inputs and QP_SEED.  Exit codes:
-0 success, 2 input/parse error, 3 mathematical precondition failure,
-4 numerical divergence.
+field is byte-deterministic for identical inputs and QP_SEED.  Exit codes
+follow the QPError hierarchy: 0 success, 2 input/parse error or failed write,
+4 numerical divergence (including an exact value with no float form), and
+3 every other library error, such as a mathematical precondition failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,20 +31,8 @@ from .discretization import (
     euler_discretize,
     qp_discretize,
 )
-from .errors import (
-    DimensionMismatchError,
-    DuplicateQuasimonomialsError,
-    FixedPointNotFound,
-    ModelFileError,
-    NonPositiveStateError,
-    NotApplicableError,
-    NotNonRedundantError,
-    NotSameClassError,
-    OrbitEscapedError,
-    OverflowDivergenceError,
-    RankDeficientInputError,
-    SingularMatrixError,
-)
+from .errors import (ModelFileError, NotNonRedundantError, OrbitEscapedError,
+                     OverflowDivergenceError, QPError)
 from .linalg import RationalMatrix, rank
 from .maps import QPFlow, State, iterate, mmatrix
 from .modelfile import LoadedModel, load_model, parse_state, system_fields
@@ -60,13 +50,6 @@ EXIT_DIVERGED = 4
 # `discretize --horizon` over `--eps`.  Every state is kept for the report
 # and CSV, so the cap bounds memory as well as time; above it, exit code 2.
 MAX_STEPS = 1_000_000
-
-_PRECONDITION_ERRORS = (
-    DimensionMismatchError, SingularMatrixError, RankDeficientInputError,
-    NotNonRedundantError, NotSameClassError, NotApplicableError,
-    FixedPointNotFound, DuplicateQuasimonomialsError, NonPositiveStateError,
-)
-_DIVERGENCE_ERRORS = (OverflowDivergenceError, OrbitEscapedError)
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -256,16 +239,10 @@ def _commutativity_table(flow: QPFlow, eps: Fraction) -> list[dict]:
     rows = []
     for idx, t in enumerate(transforms):
         for fam in families:
-            v = check_commutativity(flow, t, eps, fam)
-            rows.append({
-                "transform_index": idx,
-                "transform_C": _mat(t.C),
-                "family": v.family,
-                "mode": v.mode,
-                "commutes": v.commutes,
-                "max_discrepancy": v.max_discrepancy,
-                "note": v.note,
-            })
+            verdict = asdict(check_commutativity(flow, t, eps, fam))
+            del verdict["witness"]
+            rows.append({"transform_index": idx, "transform_C": _mat(t.C),
+                         **verdict})
     return rows
 
 
@@ -302,18 +279,11 @@ def _cmd_discretize(args) -> tuple[dict, int]:
             code = EXIT_DIVERGED
     if "fixed-point" in analyses:
         rep = check_fixed_point_coincidence(flow, eps)
+        ok = rep.status == "ok"  # a skipped check has no verdicts
         results["fixed_point"] = {
-            "status": rep.status,
-            "reason": rep.reason,
-            "fixed_point": (list(rep.fixed_point)
-                            if rep.fixed_point is not None else None),
-            "euler_residual": rep.euler_residual,
-            "jacobian_max_diff": rep.jacobian_max_diff,
-            "euler_fixes_point": rep.euler_fixes_point
-            if rep.status == "ok" else None,
-            "jacobians_match": rep.jacobians_match
-            if rep.status == "ok" else None,
-        }
+            **asdict(rep),
+            "euler_fixes_point": rep.euler_fixes_point if ok else None,
+            "jacobians_match": rep.jacobians_match if ok else None}
     if "commutativity" in analyses:
         results["commutativity"] = _commutativity_table(flow, eps)
     inputs = {"model": loaded.path, "kind": "flow", "n": flow.n, "m": flow.m,
@@ -407,10 +377,10 @@ def main(argv=None) -> int:
         print(f"qpmaps: input error: cannot write {err.filename}: "
               f"{err.strerror}", file=sys.stderr)
         return EXIT_INPUT
-    except _DIVERGENCE_ERRORS as err:
+    except (OverflowDivergenceError, OrbitEscapedError) as err:
         print(f"qpmaps: divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except _PRECONDITION_ERRORS as err:
+    except QPError as err:  # every other library error
         print(f"qpmaps: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     return code

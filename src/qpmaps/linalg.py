@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
+    OverflowDivergenceError,
     RankDeficientInputError,
     SingularMatrixError,
 )
@@ -125,8 +126,12 @@ class RationalMatrix:
         return self.entries[j::self.cols]
 
     def to_float_rows(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(float(e) for e in self.row(i))
-                     for i in range(self.rows))
+        try:
+            return tuple(tuple(float(e) for e in self.row(i))
+                         for i in range(self.rows))
+        except OverflowError as err:  # an entry with no float form
+            raise OverflowDivergenceError(
+                f"a coefficient is past the float range: {err}") from err
 
     # -- algebra -----------------------------------------------------------
 

@@ -343,7 +343,7 @@ def find_interior_fixed_point(qp: QPMap) -> State:
     try:  # ValueError: a q_j that rounds to 0.0 has no log
         b_inv = inverse(qp.B).to_float_rows()
         log_q = [math.log(float(v)) for v in q]
-    except (OverflowError, ValueError) as err:
+    except (OverflowDivergenceError, OverflowError, ValueError) as err:
         raise FixedPointNotFound(
             f"the fixed point's data is past the float range: {err}") from err
     x = tuple(checked_exp(sum(b * lq for b, lq in zip(row, log_q)))

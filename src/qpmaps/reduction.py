@@ -274,8 +274,9 @@ def evaluate_constant(c: ConstantOfMotion, s: State) -> float:
     """Value of the quasimonomial prod_k x_k**e_k at a state, in log space."""
     if len(c.exponents) != len(s):
         raise DimensionMismatchError("exponent vector does not match state")
-    return checked_exp(sum(float(e) * lx
-                           for e, lx in zip(c.exponents, s.logs()) if e))
+    # an exponent with no float form is an OverflowDivergenceError
+    exps = RationalMatrix.from_rows([c.exponents], len(s)).to_float_rows()[0]
+    return checked_exp(sum(e * lx for e, lx in zip(exps, s.logs()) if e))
 
 
 def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:
@@ -341,9 +342,6 @@ def embed(qp: QPSystem) -> QPSystem:
     lam = qp.lam + (Fraction(0),) * (m - n)
     a_full = vstack(qp.A, RationalMatrix.zeros(m - n, m))
     return type(qp)(lam, a_full, b_full)
-
-
-embed_flow = embed
 
 
 def to_lv_canonical(qp: QPSystem) -> tuple[QPSystem, tuple[ConstantOfMotion, ...]]:

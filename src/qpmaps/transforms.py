@@ -57,8 +57,6 @@ class QMTransform:
         """The transform by C^-1, from the stored pair without inverting."""
         t = object.__new__(QMTransform)
         t.__dict__.update(C=self.c_inv, c_inv=self.C)
-        if "_power_terms" in self.__dict__:
-            t.__dict__["_power_terms"] = self._power_terms[::-1]
         return t
 
 

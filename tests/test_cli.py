@@ -11,6 +11,7 @@ import pytest
 
 from qpmaps import QPFlow, QPMap, State, model_document, save_model
 from qpmaps.cli import main
+from qpmaps.errors import IllConditionedBlockError
 from qpmaps.linalg import RationalMatrix
 
 M = RationalMatrix.from_rows
@@ -332,6 +333,21 @@ def test_reduce_factor_beyond_the_float_range_exits_4(capsys, tmp_path):
     assert out == "" and "divergence" in err and "Traceback" not in err
 
 
+def test_any_library_error_exits_3_with_one_line(capsys, lv_model,
+                                                monkeypatch):
+    import qpmaps.cli
+
+    def failing(*args):
+        raise IllConditionedBlockError("conserved rows did not vanish")
+
+    monkeypatch.setattr(qpmaps.cli, "reduce_map", failing)
+    code, out, err = run_cli(capsys, "reduce", lv_model)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "qpmaps: IllConditionedBlockError: conserved rows did not vanish"]
+
+
 def test_discretize_without_computable_probes_exits_3(capsys, tmp_path):
     # eps * lam = -100 sends every Euler probe out of the positive orthant
     flow = QPFlow(lam_star=(-100,), A_star=M([[0]]), B=M([[1]]))
@@ -468,8 +484,21 @@ def test_discretize_reports_the_escaped_scheme(capsys, tmp_path, lam_star,
 
 HUGE_FLOW = {"kind": "flow", "n": 1, "m": 1, "lambda": ["1e400"],
              "A": [["-1"]], "B": [["1"]], "initial": ["0.5"]}
+# the worked 3-variable map with the exponent B[0][2] past the float range
+WIDE_EXPONENT_MAP = {
+    "kind": "map", "n": 3, "m": 3, "lambda": ["1/4", "1/4", "0"],
+    "A": [["-1/4", "0", "0"], ["0", "-1/4", "0"], ["0", "0", "0"]],
+    "B": [["1", "1", "1e400"], ["1", "1", "0"], ["1", "0", "0"]]}
+# x3 is conserved; the transform that decouples it has an entry 1e400
+WIDE_COEFFICIENT_MAP = {
+    "kind": "map", "n": 3, "m": 3, "lambda": ["1", "2", "1e400"],
+    "A": [["1", "0", "0"], ["0", "1", "0"], ["1e400", "0", "0"]],
+    "B": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+MODEL_FILES = {"huge.json": HUGE_FLOW, "wide_b.json": WIDE_EXPONENT_MAP,
+               "wide_a.json": WIDE_COEFFICIENT_MAP}
 
-# (argv, QP_SEED, exit code, text on stderr); "{tmp}" is a scratch directory
+# (argv, QP_SEED, exit code, text on stderr); "{tmp}" is a scratch directory.
+# A run with text on stderr prints no report.
 FAILING_RUNS = {
     "report to a missing directory": (
         ["reduce", "models/lv_2d.json", "--out", "{tmp}/missing/r.json"],
@@ -486,13 +515,20 @@ FAILING_RUNS = {
     "orbit past the float range": (
         ["discretize", "{tmp}/huge.json", "--eps", "1/10",
          "--analysis", "divergence"], None, 4, ""),
+    "exponent past the float range with an initial state": (
+        ["reduce", "{tmp}/wide_b.json", "--initial", "1.3,0.7,2.1"],
+        None, 4, "qpmaps: divergence:"),
+    "transform entry past the float range with an initial state": (
+        ["reduce", "{tmp}/wide_a.json", "--initial", "1,2,3"],
+        None, 4, "qpmaps: divergence:"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_RUNS))
 def test_failures_exit_with_one_line_and_no_traceback(tmp_path, case):
     argv, seed, want_code, want_err = FAILING_RUNS[case]
-    (tmp_path / "huge.json").write_text(json.dumps(HUGE_FLOW))
+    for name, model in MODEL_FILES.items():
+        (tmp_path / name).write_text(json.dumps(model))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -505,7 +541,7 @@ def test_failures_exit_with_one_line_and_no_traceback(tmp_path, case):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == want_code, run.stderr
     assert "Traceback" not in run.stderr
-    if want_code == 2:
+    if want_err:
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1 and want_err in run.stderr
     else:
@@ -513,4 +549,9 @@ def test_failures_exit_with_one_line_and_no_traceback(tmp_path, case):
         if "fixed-point" in argv:
             fixed = report_of(run.stdout)["results"]["fixed_point"]
             assert fixed["status"] == "skipped"
+            # no golden report covers the skipped section
+            assert list(fixed) == [
+                "status", "reason", "fixed_point", "euler_residual",
+                "jacobian_max_diff", "euler_fixes_point", "jacobians_match"]
+            assert list(fixed.values())[2:] == [None] * 5
     assert not (tmp_path / "missing").exists()

@@ -622,3 +622,14 @@ def test_constant_beyond_the_float_range_is_divergence():
     assert evaluate_constant(c, State((1e100,))) == pytest.approx(1e300)
     with pytest.raises(OverflowDivergenceError):
         evaluate_constant(c, State((1e300,)))
+
+
+def test_exact_values_with_no_float_form_are_divergence():
+    # neither reader may leak the bare OverflowError of float(10**400)
+    huge = Fraction(10) ** 400
+    with pytest.raises(OverflowDivergenceError):
+        evaluate_constant(ConstantOfMotion(exponents=(huge,)), State((2.0,)))
+    t = QMTransform(M([[1, 0], [huge, 1]]))
+    for read in (phi, phi_inverse):
+        with pytest.raises(OverflowDivergenceError):
+            read(t, State((1.0, 2.0)))
