@@ -5,6 +5,7 @@ from .errors import (
     DuplicateQuasimonomialsError,
     FixedPointNotFound,
     IllConditionedBlockError,
+    InvalidArgumentError,
     ModelFileError,
     NonPositiveStateError,
     NotApplicableError,

@@ -226,9 +226,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 def _commutativity_table(flow: QPFlow, eps: Fraction) -> list[dict]:
     rng = make_rng("cli-commutativity")
-    dilation = QMTransform(RationalMatrix.from_rows(
-        [[Fraction(2) if i == j == 0 else Fraction(int(i == j))
-          for j in range(flow.n)] for i in range(flow.n)], cols=flow.n))
+    squaring = ([2] + [1] * flow.n)[:flow.n]  # x_1 = y_1**2, the rest kept
+    dilation = QMTransform(RationalMatrix.identity(flow.n).scale_cols(squaring))
     transforms = [dilation, random_invertible_transform(rng, flow.n)]
     families = [
         DiscretizationFamily.qp_exp(),

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 from .errors import (
     DimensionMismatchError,
     FixedPointNotFound,
+    InvalidArgumentError,
     ModelFileError,
-    NonPositiveStateError,
     NotApplicableError,
     OrbitEscapedError,
     OverflowDivergenceError,
@@ -236,7 +236,7 @@ class DiscretizationFamily:
 
     def __post_init__(self):
         if not callable(self.shape):
-            raise ValueError(f"{self.kind.value} family needs a shape function")
+            raise InvalidArgumentError(f"{self.kind.value}: the shape is not callable")
         if not self.label:
             object.__setattr__(self, "label", self.kind.value)
 
@@ -251,7 +251,7 @@ class DiscretizationFamily:
     @staticmethod
     def power_base(a: float) -> "DiscretizationFamily":
         if not a > 0.0:
-            raise ValueError("power family needs a positive base")
+            raise InvalidArgumentError("power family needs a positive base")
         return DiscretizationFamily(FamilyKind.POWER_BASE, lambda xi: a ** xi,
                                     label=f"power-base({a:g})")
 
@@ -336,8 +336,7 @@ def check_commutativity(flow: QPFlow, t: QMTransform, eps,
             x = phi_inverse(t, z)
             raw = _family_update(family, disc, x)
             route_b = phi(t, State(raw))
-        except (NonPositiveStateError, OverflowDivergenceError, ValueError,
-                OverflowError):
+        except (OverflowDivergenceError, ValueError, OverflowError):
             continue
         compared += 1
         gap = max((abs(a - b) for a, b in zip(route_a, route_b)), default=0.0)

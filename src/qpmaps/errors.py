@@ -7,6 +7,10 @@ class QPError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidArgumentError(QPError, ValueError):
+    """An argument is outside the values the called function accepts."""
+
+
 class DimensionMismatchError(QPError):
     """Matrix or vector shapes are inconsistent for the requested operation."""
 

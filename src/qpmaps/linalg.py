@@ -1,19 +1,15 @@
 """Exact dense rational matrices and the structural operations built on them.
 
 Every structural decision in this package (rank tests, kernels, inverses,
-basis completions) is made over exact rationals so that rank conditions are
-never at the mercy of floating-point noise.  The arithmetic itself runs on
-Python integers.  Each matrix keeps, built on first use, one integer form,
-that of its rows (each row as integers over the lcm of its denominators),
-and the pivot columns of its forward elimination.  One fraction-free
-(Bareiss) elimination of the integer rows gives rank, pivot columns and,
-with the entries above the pivots cleared as well, the reduced row echelon
-form that kernel, inverse and solve read; a pivot row becomes `Fraction`s
-only by one division at the end.  A product makes one `Fraction` per entry
-from an integer dot product of a kept row of the left factor and a column
-of the right factor's kept rows, brought to one common denominator.
-Results made here skip the checks of the public constructor, and products
-and solutions hand over the row form they already hold.
+basis completions) is made over exact rationals, on Python integers.  A
+matrix stores only its row form, each row as integers over the lcm of its
+denominators; the form is canonical, so equality and hashing read it, and
+every operation here builds its result's form from its operands' forms.
+The `Fraction` entries are a view made on first read; float rows are read
+off the form as `ints / scale`, correctly rounded like `float(Fraction)`.
+One fraction-free (Bareiss) elimination of the integer rows gives rank and
+pivot columns, which a matrix keeps, and, with the entries above the pivots
+cleared too, the reduced row echelon form that kernel, inverse and solve read.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     OverflowDivergenceError,
     RankDeficientInputError,
     SingularMatrixError,
@@ -46,39 +43,37 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable dense matrix of exact rationals, stored row-major."""
+    """Immutable dense matrix of exact rationals, stored as its row form."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    _row_form: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatchError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatchError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}")
-        if any(not isinstance(e, Fraction) for e in self.entries):
-            object.__setattr__(
-                self, "entries", tuple(as_fraction(e) for e in self.entries))
+    def __init__(self, rows: int, cols: int, entries: Sequence[RationalLike]):
+        entries = tuple(map(as_fraction, entries))
+        if rows < 0 or cols < 0 or len(entries) != rows * cols:
+            raise DimensionMismatchError(f"{len(entries)} entries for {rows}x{cols}")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries, _row_form=tuple(
+            _cleared(entries[i * cols:(i + 1) * cols]) for i in range(rows)))
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple[Fraction, ...],
-                 **forms) -> "RationalMatrix":
-        """A matrix of `Fraction`s made in this module: no checks, and the
-        row form its producer already holds, if any."""
+    def _of(cls, rows: int, cols: int, form) -> "RationalMatrix":
+        """A matrix made in this module from its canonical row form: no checks."""
         mat = object.__new__(cls)
-        mat.__dict__.update(rows=rows, cols=cols, entries=entries, **forms)
+        mat.__dict__.update(rows=rows, cols=cols, _row_form=form)
         return mat
 
     @cached_property
-    def _row_form(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each row as `_cleared` gives it: the one integer form kept."""
-        return tuple(_cleared(self.row(i)) for i in range(self.rows))
+    def entries(self) -> tuple[Fraction, ...]:
+        return _entries(self._row_form)
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
         return _eliminate(self)[1]
+
+    def __repr__(self) -> str:
+        return (f"RationalMatrix(rows={self.rows!r}, cols={self.cols!r}, "
+                f"entries={self.entries!r})")
 
     # -- construction -----------------------------------------------------
 
@@ -96,20 +91,19 @@ class RationalMatrix:
             cols = width
         elif cols is None:
             raise DimensionMismatchError("empty matrix needs explicit cols")
-        flat = tuple(e for r in rows for e in r)
-        return RationalMatrix(len(rows), cols, flat)
+        return RationalMatrix(len(rows), cols, [e for r in rows for e in r])
 
     @staticmethod
     @cache
     def identity(n: int) -> "RationalMatrix":
         """The n x n identity: one shared instance per n, which keeps its forms."""
-        one, zero = Fraction(1), Fraction(0)
-        flat = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return RationalMatrix(n, n, flat)
+        return RationalMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise DimensionMismatchError("negative matrix dimension")
+        return RationalMatrix._of(rows, cols, (((0,) * cols, 1),) * rows)
 
     # -- access ------------------------------------------------------------
 
@@ -120,15 +114,14 @@ class RationalMatrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return _entries(self._row_form[i:i + 1])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return self.entries[j::self.cols]
 
     def to_float_rows(self) -> tuple[tuple[float, ...], ...]:
-        try:
-            return tuple(tuple(float(e) for e in self.row(i))
-                         for i in range(self.rows))
+        try:  # int true division is correctly rounded, as float(Fraction) is
+            return tuple(tuple(v / s for v in ints) for ints, s in self._row_form)
         except OverflowError as err:  # an entry with no float form
             raise OverflowDivergenceError(
                 f"a coefficient is past the float range: {err}") from err
@@ -136,48 +129,53 @@ class RationalMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "RationalMatrix":
-        flat = tuple(chain.from_iterable(map(self.col, range(self.cols))))
-        return RationalMatrix._trusted(self.cols, self.rows, flat)
+        cols, common = _columns(self._row_form, self.cols)
+        return RationalMatrix._of(self.cols, self.rows, tuple(
+            _canonical(c, common) for c in cols))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # dot products of the kept rows with the columns of the right factor's
-        # rows over their common scale; each row of them gives a row form
-        right = other._row_form
-        common = math.lcm(*[s for _, s in right])
-        cols = (list(zip(*[[v * (common // s) for v in b] for b, s in right]))
-                if right else [()] * other.cols)
-        form = tuple(_canonical([sum(map(operator.mul, a, b)) for b in cols],
-                                sa * common)
-                     for a, sa in self._row_form)
-        return RationalMatrix._trusted(self.rows, other.cols, _entries(form),
-                                       _row_form=form)
+        # dot products of the rows with the columns of the right factor's rows
+        # over their common scale; each row of them gives a row form
+        cols, common = _columns(other._row_form, other.cols)
+        return RationalMatrix._of(self.rows, other.cols, tuple(
+            _canonical([sum(map(operator.mul, a, b)) for b in cols], sa * common)
+            for a, sa in self._row_form))
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("shape mismatch in addition")
-        return RationalMatrix._trusted(
-            self.rows, self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)))
+        # the rows of (self | other) have one scale each: add their halves
+        return RationalMatrix._of(self.rows, self.cols, tuple(
+            _canonical(list(map(operator.add, ints[:self.cols], ints[self.cols:])), s)
+            for ints, s in hstack(self, other)._row_form))
 
     def scale(self, factor: RationalLike) -> "RationalMatrix":
-        f = as_fraction(factor)
-        return RationalMatrix._trusted(self.rows, self.cols,
-                                       tuple(f * e for e in self.entries))
+        return self.scale_cols([factor] * self.cols)
+
+    def scale_cols(self, factors: Sequence[RationalLike]) -> "RationalMatrix":
+        """The matrix with column j multiplied by factors[j]."""
+        if len(factors) != self.cols:
+            raise DimensionMismatchError("one factor per column is needed")
+        mults, common = _cleared([as_fraction(f) for f in factors])
+        return RationalMatrix._of(self.rows, self.cols, tuple(
+            _canonical(list(map(operator.mul, ints, mults)), s * common)
+            for ints, s in self._row_form))
 
     def submatrix(self, row_indices: Iterable[int],
                   col_indices: Iterable[int]) -> "RationalMatrix":
-        ri, ci = list(row_indices), list(col_indices)
-        flat = tuple(self[i, j] for i in ri for j in ci)
-        return RationalMatrix._trusted(len(ri), len(ci), flat)
+        return self.take_rows(row_indices).take_cols(col_indices)
 
     def take_rows(self, indices: Iterable[int]) -> "RationalMatrix":
-        return self.submatrix(indices, range(self.cols))
+        picked = tuple(self._row_form[i] for i in _in_range(indices, self.rows))
+        return RationalMatrix._of(len(picked), self.cols, picked)
 
     def take_cols(self, indices: Iterable[int]) -> "RationalMatrix":
-        return self.submatrix(range(self.rows), indices)
+        ci = _in_range(indices, self.cols)
+        return RationalMatrix._of(self.rows, len(ci), tuple(
+            _canonical([ints[j] for j in ci], s) for ints, s in self._row_form))
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
@@ -191,16 +189,17 @@ class RationalMatrix:
 def hstack(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
     if left.rows != right.rows:
         raise DimensionMismatchError("hstack row mismatch")
-    return RationalMatrix._trusted(
-        left.rows, left.cols + right.cols, tuple(chain.from_iterable(
-            left.row(i) + right.row(i) for i in range(left.rows))))
+    # two canonical rows over the lcm of their scales join to a canonical row
+    return RationalMatrix._of(left.rows, left.cols + right.cols, tuple(
+        (_lifted(a, sa, s := math.lcm(sa, sb)) + _lifted(b, sb, s), s)
+        for (a, sa), (b, sb) in zip(left._row_form, right._row_form)))
 
 
 def vstack(top: RationalMatrix, bottom: RationalMatrix) -> RationalMatrix:
     if top.cols != bottom.cols:
         raise DimensionMismatchError("vstack column mismatch")
-    return RationalMatrix._trusted(top.rows + bottom.rows, top.cols,
-                                   top.entries + bottom.entries)
+    return RationalMatrix._of(top.rows + bottom.rows, top.cols,
+                              top._row_form + bottom._row_form)
 
 
 def column_matrix(vec: Sequence[RationalLike]) -> RationalMatrix:
@@ -226,10 +225,29 @@ def _cleared(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple([a * (scale // d) for a, d in pairs]), scale
 
 
-def _canonical(ints: list[int], scale: int) -> tuple[tuple[int, ...], int]:
+def _canonical(ints: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
     """The `_cleared` pair of the vector ints / scale, for nonzero scale."""
     g = math.gcd(*ints, scale) * (1 if scale > 0 else -1)
     return tuple([v // g for v in ints]), scale // g
+
+
+def _in_range(indices: Iterable[int], bound: int) -> list[int]:
+    picked = list(indices)
+    if not all(0 <= i < bound for i in picked):
+        raise IndexError(f"index out of range({bound}): {picked}")
+    return picked
+
+
+def _lifted(ints: tuple[int, ...], scale: int, common: int) -> tuple[int, ...]:
+    """The integers of the vector ints / scale over `common`, a multiple of scale."""
+    return ints if scale == common else tuple([v * (common // scale) for v in ints])
+
+
+def _columns(form, width: int) -> tuple[list[tuple[int, ...]], int]:
+    """The columns of a row form as integers over the lcm of its scales."""
+    common = math.lcm(*[s for _, s in form])
+    cols = list(zip(*[_lifted(ints, s, common) for ints, s in form]))
+    return (cols if form else [()] * width), common
 
 
 def _entries(form) -> tuple[Fraction, ...]:
@@ -297,10 +315,9 @@ def _rref(mat: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
     pivot.
     """
     rows, pivots = _eliminate(mat, reduced=True)
-    zero = Fraction(0)
-    out = [[Fraction(a, row[c]) if a else zero for a in row]
+    out = [[Fraction(a, row[c]) if a else _ZERO for a in row]
            for row, c in zip(rows, pivots)]
-    out += [[zero] * mat.cols for _ in range(mat.rows - len(pivots))]
+    out += [[_ZERO] * mat.cols for _ in range(mat.rows - len(pivots))]
     return out, list(pivots)
 
 
@@ -345,8 +362,8 @@ def solve(mat: RationalMatrix, rhs: RationalMatrix) -> RationalMatrix:
         raise SingularMatrixError(
             f"coefficient matrix has rank {sum(p < n for p in pivots)} < {n}")
     # every pivot row of the reduced form leads with the last pivot
-    form = tuple(_canonical(row[n:], aug[-1][n - 1]) for row in aug)
-    return RationalMatrix._trusted(n, rhs.cols, _entries(form), _row_form=form)
+    return RationalMatrix._of(n, rhs.cols, tuple(
+        _canonical(row[n:], aug[-1][n - 1]) for row in aug))
 
 
 def select_independent_rows(mat: RationalMatrix,
@@ -374,11 +391,10 @@ def complete_to_invertible(partial: RationalMatrix,
     the block is not of full row rank (resp. column rank).
     """
     if side in ("right", "left"):
-        flipped = complete_to_invertible(
-            partial.transpose(), "below" if side == "right" else "above")
-        return flipped.transpose()
+        return complete_to_invertible(
+            partial.transpose(), "below" if side == "right" else "above").transpose()
     if side not in ("below", "above"):
-        raise ValueError(f"unknown side {side!r}")
+        raise InvalidArgumentError(f"unknown side {side!r}")
 
     n, k = partial.cols, partial.rows
     if k > n:

@@ -15,10 +15,11 @@ are evaluated in log space to avoid domain errors for non-integer exponents.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .errors import (
@@ -49,6 +50,11 @@ FIXED_POINT_RESIDUAL = 1e-9
 
 # the largest argument that math.exp takes without raising OverflowError
 EXP_MAX = math.log(sys.float_info.max)
+
+
+def ordered_sum(terms) -> float:
+    """The floats added left to right on every Python (from 3.12 `sum` compensates)."""
+    return reduce(operator.add, terms, 0.0)
 
 
 def checked_exp(t: float) -> float:
@@ -318,8 +324,8 @@ def find_interior_fixed_point(qp: QPMap) -> State:
 
     Solves lam + A q = 0 exactly; when every q_j is positive, recovers x from
     B log x = log q in floating point.  Raises FixedPointNotFound when A is
-    singular, some q_j <= 0, q or B^-1 has no float form, or the residual
-    check fails.
+    singular, some q_j <= 0, q, B^-1 or the map's coefficients have no float
+    form, or the residual check fails.
     """
     if qp.m != qp.n:
         raise DimensionMismatchError(
@@ -346,10 +352,12 @@ def find_interior_fixed_point(qp: QPMap) -> State:
     except (OverflowDivergenceError, OverflowError, ValueError) as err:
         raise FixedPointNotFound(
             f"the fixed point's data is past the float range: {err}") from err
-    x = tuple(checked_exp(sum(b * lq for b, lq in zip(row, log_q)))
-              for row in b_inv)
-    fp = State(x)
-    nxt = step(qp, fp)
+    fp = State(tuple(checked_exp(ordered_sum(b * lq for b, lq in zip(row, log_q)))
+                     for row in b_inv))
+    try:
+        nxt = step(qp, fp)
+    except OverflowDivergenceError as err:  # coefficients with no float form
+        raise FixedPointNotFound(f"the map cannot be stepped in floats: {err}") from err
     scale = max(abs(v) for v in fp)
     resid = max(abs(a - b) for a, b in zip(nxt, fp)) / scale
     if resid >= FIXED_POINT_RESIDUAL:

@@ -19,7 +19,6 @@ dimension-raising embedding when m > n.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,6 +26,7 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatchError,
     IllConditionedBlockError,
+    InvalidArgumentError,
     NotApplicableError,
     NotNonRedundantError,
     OverflowDivergenceError,
@@ -41,7 +41,7 @@ from .linalg import (
     vec_mat,
     vstack,
 )
-from .maps import QPFlow, QPMap, QPSystem, State, checked_exp, mmatrix
+from .maps import QPFlow, QPMap, QPSystem, State, checked_exp, mmatrix, ordered_sum
 from .transforms import QMTransform, apply_qm, phi, require_conjugable
 
 
@@ -66,7 +66,7 @@ class StepRecord:
 
     def __post_init__(self):
         if self.kind is not StepKind.STEP3 and self.q_factors is not None:
-            raise ValueError("q_factors only belong to step-3 records")
+            raise InvalidArgumentError("q_factors only belong to step-3 records")
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ def merge_degenerate_qms(lam, A: RationalMatrix, B: RationalMatrix) -> QPMap:
         raise DimensionMismatchError("inconsistent lam/A/B shapes")
     # rows keyed by their integer forms; a dict keeps the first-occurrence order
     first: dict[tuple, int] = {}
-    cols: dict[int, tuple[Fraction, ...]] = {}
-    for j, key in enumerate(B._row_form):
-        i = first.setdefault(key, j)
-        cols[i] = A.col(j) if i == j else tuple(map(operator.add, cols[i], A.col(j)))
-    a = RationalMatrix.from_rows(list(cols.values()), cols=n).transpose()
-    return QPMap(lam=lam, A=a, B=B.take_rows(cols))
+    heads = [first.setdefault(key, j) for j, key in enumerate(B._row_form)]
+    if len(first) == B.rows:  # no row repeats: A and B stay as they are
+        return QPMap(lam=lam, A=A, B=B)
+    groups = [[A.col(j) for j, h in enumerate(heads) if h == i] for i in first.values()]
+    a = RationalMatrix.from_rows([map(sum, zip(*g)) for g in groups], cols=n)
+    return QPMap(lam=lam, A=a.transpose(), B=B.take_rows(first.values()))
 
 
 def _truncate(mapped: QPMap, r: int, q: tuple[Fraction, ...] | None) -> QPMap:
@@ -118,7 +118,7 @@ def _truncate(mapped: QPMap, r: int, q: tuple[Fraction, ...] | None) -> QPMap:
     """
     a = mapped.A.take_rows(range(r))
     if q is not None:
-        a = RationalMatrix(r, a.cols, tuple(map(operator.mul, a.entries, q * r)))
+        a = a.scale_cols(q)
     merged = merge_degenerate_qms(mapped.lam[:r], a, mapped.B.take_cols(range(r)))
     z = next((j for j, (ints, _) in enumerate(merged.B._row_form)
               if not any(ints)), None)
@@ -216,7 +216,7 @@ def reduce_step3(qp: QPMap,
         b_rows = mapped.B.to_float_rows()
         vals = []
         for j in range(m):
-            log_q = sum(b_rows[j][k] * math.log(y0[k]) for k in range(r, n))
+            log_q = ordered_sum(b_rows[j][k] * math.log(y0[k]) for k in range(r, n))
             qf = checked_exp(log_q)
             if not (math.isfinite(qf) and qf > 0.0):
                 raise OverflowDivergenceError(
@@ -262,12 +262,10 @@ def replay_steps(qp: QPMap, steps) -> QPMap:
 
 def _pullback_exponents(steps, exponents) -> tuple[Fraction, ...]:
     """Rewrite a quasimonomial of a reduced stage in the original variables."""
-    e = list(exponents)
-    for rec in reversed(steps):
-        n_prev = rec.transform.n
-        e = e + [Fraction(0)] * (n_prev - len(e))
-        e = list(vec_mat(e, rec.transform.c_inv))
-    return tuple(e)
+    e = tuple(exponents)
+    for rec in reversed(steps):  # the decoupled variables do not appear in it
+        e = vec_mat(e + (0,) * (rec.transform.n - len(e)), rec.transform.c_inv)
+    return e
 
 
 def evaluate_constant(c: ConstantOfMotion, s: State) -> float:
@@ -276,7 +274,7 @@ def evaluate_constant(c: ConstantOfMotion, s: State) -> float:
         raise DimensionMismatchError("exponent vector does not match state")
     # an exponent with no float form is an OverflowDivergenceError
     exps = RationalMatrix.from_rows([c.exponents], len(s)).to_float_rows()[0]
-    return checked_exp(sum(e * lx for e, lx in zip(exps, s.logs()) if e))
+    return checked_exp(ordered_sum(e * lx for e, lx in zip(exps, s.logs()) if e))
 
 
 def reduce(qp: QPMap, initial: State | None = None) -> ReductionReport:

@@ -494,8 +494,12 @@ WIDE_COEFFICIENT_MAP = {
     "kind": "map", "n": 3, "m": 3, "lambda": ["1", "2", "1e400"],
     "A": [["1", "0", "0"], ["0", "1", "0"], ["1e400", "0", "0"]],
     "B": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+# the fixed point x = 1 is finite, but lambda and A have no float form
+HUGE_COEFFICIENT_FLOW = {"kind": "flow", "n": 1, "m": 1, "lambda": ["1e400"],
+                         "A": [["-1e400"]], "B": [["1"]]}
 MODEL_FILES = {"huge.json": HUGE_FLOW, "wide_b.json": WIDE_EXPONENT_MAP,
-               "wide_a.json": WIDE_COEFFICIENT_MAP}
+               "wide_a.json": WIDE_COEFFICIENT_MAP,
+               "huge_coefficients.json": HUGE_COEFFICIENT_FLOW}
 
 # (argv, QP_SEED, exit code, text on stderr); "{tmp}" is a scratch directory.
 # A run with text on stderr prints no report.
@@ -511,6 +515,9 @@ FAILING_RUNS = {
         "abc", 2, "QP_SEED"),
     "fixed point past the float range": (
         ["discretize", "{tmp}/huge.json", "--eps", "1/10",
+         "--analysis", "fixed-point"], None, 0, ""),
+    "fixed point of coefficients past the float range": (
+        ["discretize", "{tmp}/huge_coefficients.json", "--eps", "1/10",
          "--analysis", "fixed-point"], None, 0, ""),
     "orbit past the float range": (
         ["discretize", "{tmp}/huge.json", "--eps", "1/10",

@@ -24,13 +24,15 @@ from qpmaps import (
     qp_discretize,
 )
 from qpmaps.errors import (
+    InvalidArgumentError,
     ModelFileError,
     NotApplicableError,
     OrbitEscapedError,
     QPError,
 )
 from qpmaps.discretization import _family_update
-from qpmaps.linalg import RationalMatrix
+from qpmaps.linalg import RationalMatrix, complete_to_invertible
+from qpmaps.reduction import StepKind, StepRecord
 from qpmaps.sampling import (
     make_rng,
     random_positive_state,
@@ -301,6 +303,18 @@ def test_zero_and_rational_string_horizons_are_valid():
 def test_family_rejects_bad_base_or_shape(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: complete_to_invertible(RationalMatrix.identity(2), side="middle"),
+    lambda: DiscretizationFamily(FamilyKind.QP_EXP, shape="exp"),
+    lambda: DiscretizationFamily.power_base(-2.0),
+    lambda: StepRecord(StepKind.STEP1, None, (), q_factors=(Fraction(1),)),
+], ids=["completion side", "family shape", "power base", "step-1 q_factors"])
+def test_bad_arguments_are_package_errors_and_value_errors(call):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert isinstance(info.value, QPError) and isinstance(info.value, ValueError)
 
 
 def test_named_constructors_keep_kind_and_label():

@@ -214,6 +214,16 @@ def test_fixed_point_past_the_float_range_is_not_found():
     assert rep.status == "skipped" and "float range" in rep.reason
 
 
+def test_fixed_point_of_coefficients_past_the_float_range_is_skipped():
+    # x = 1 is the fixed point, but lam and A have no float form to step with
+    flow = QPFlow(lam_star=(10**400,), A_star=M([[-10**400]]), B=M([[1]]))
+    with pytest.raises(FixedPointNotFound):
+        find_interior_fixed_point(qp_discretize(flow, Fraction(1, 10)))
+    rep = check_fixed_point_coincidence(flow, Fraction(1, 10))
+    assert rep.status == "skipped" and "float range" in rep.reason
+    assert rep.fixed_point is None and not rep.euler_fixes_point
+
+
 FAMILIES = [
     (DiscretizationFamily.qp_exp(), math.exp, False),
     (DiscretizationFamily.euler_add(), lambda f: 1.0 + f, False),

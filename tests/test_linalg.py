@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qpmaps.errors import (
     DimensionMismatchError,
+    OverflowDivergenceError,
     RankDeficientInputError,
     SingularMatrixError,
 )
@@ -284,3 +285,130 @@ def test_public_constructors_keep_their_checks():
     mixed = RationalMatrix(1, 3, (1, "1/2", Fraction(2, 4)))
     assert all(type(e) is Fraction for e in mixed.entries)
     assert mixed._row_form == (((2, 1, 1), 2),)
+
+
+# -- the row form is the stored representation -------------------------------------
+
+
+def any_shape(max_dim=3):
+    """Matrices of every shape up to max_dim, the 0 x k and k x 0 ones included."""
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(
+        lambda shape: rows_of(*shape))
+
+
+def every_producer(a, b, square, factors):
+    """Each operation that builds its result's row form from its operands'."""
+    return {
+        "matmul": a @ b,
+        "solve": solve(square, square @ b),
+        "inverse": inverse(square),
+        "transpose": a.transpose(),
+        "hstack": hstack(a, a.scale(2)),
+        "vstack": vstack(a, a.scale(Fraction(1, 3))),
+        "submatrix": a.submatrix(range(a.rows)[::-1], range(a.cols)[::2]),
+        "take_rows": a.take_rows(list(range(a.rows)) * 2),
+        "take_cols": a.take_cols(range(a.cols)[::-1]),
+        "zeros": RationalMatrix.zeros(a.rows, a.cols),
+        "identity": RationalMatrix.identity(a.cols),
+        "scale": a.scale(Fraction(-3, 4)),
+        "scale-zero": a.scale(0),
+        "scale_cols": a.scale_cols(factors),
+        "add": a + a.scale(Fraction(-1, 2)),
+        "add-cancelling": a + a.scale(-1),
+    }
+
+
+def rows_of_entries(mat):
+    e, c = mat.entries, mat.cols
+    return [list(e[i * c:(i + 1) * c]) for i in range(mat.rows)]
+
+
+def fraction_product(x, y, cols):
+    inner = len(y)
+    return [[sum((row[t] * y[t][j] for t in range(inner)), Fraction(0))
+             for j in range(cols)] for row in x]
+
+
+def reference(a, b, square, factors):
+    """The same results from plain `Fraction` arithmetic on the entries, as
+    (rows, cols); the inverse is checked through its product instead."""
+    rows, r, c = rows_of_entries(a), a.rows, a.cols
+    zero = [[0] * c for _ in range(r)]
+    return {
+        "matmul": (fraction_product(rows, rows_of_entries(b), b.cols), b.cols),
+        "solve": (rows_of_entries(b), b.cols),
+        "transpose": ([[x[j] for x in rows] for j in range(c)], r),
+        "hstack": ([x + [2 * v for v in x] for x in rows], 2 * c),
+        "vstack": (rows + [[v / 3 for v in x] for x in rows], c),
+        "submatrix": ([x[::2] for x in rows[::-1]], len(range(c)[::2])),
+        "take_rows": (rows * 2, c),
+        "take_cols": ([x[::-1] for x in rows], c),
+        "zeros": (zero, c),
+        "identity": ([[int(i == j) for j in range(c)] for i in range(c)], c),
+        "scale": ([[v * Fraction(-3, 4) for v in x] for x in rows], c),
+        "scale-zero": (zero, c),
+        "scale_cols": ([[v * f for v, f in zip(x, factors)] for x in rows], c),
+        "add": ([[v / 2 for v in x] for x in rows], c),
+        "add-cancelling": (zero, c),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_shape(), st.data())
+def test_every_producer_agrees_with_the_public_constructor(a, data):
+    b = data.draw(rows_of(a.cols, data.draw(st.integers(0, 3))))
+    square = data.draw(rows_of(a.cols, a.cols))
+    assume(rank(square) == a.cols)
+    factors = data.draw(st.lists(frac, min_size=a.cols, max_size=a.cols))
+    want = reference(a, b, square, factors)
+    for name, mat in every_producer(a, b, square, factors).items():
+        rows = rows_of_entries(mat)
+        assert all(type(e) is Fraction for e in mat.entries), name
+        assert mat._row_form == tuple(_cleared(r) for r in rows), name
+        for same in (RationalMatrix(mat.rows, mat.cols, mat.entries),
+                     M(rows, cols=mat.cols)):
+            assert mat == same and hash(mat) == hash(same), name
+        if name == "inverse":
+            assert fraction_product(rows_of_entries(square), rows, a.cols) \
+                == rows_of_entries(RationalMatrix.identity(a.cols))
+        else:
+            assert mat == M(*want[name]), name
+        assert mat.to_float_rows() == tuple(
+            tuple(float(e) for e in r) for r in rows), name
+        huge = mat.scale(10**400)
+        if any(mat.entries):
+            with pytest.raises(OverflowDivergenceError):
+                huge.to_float_rows()
+        else:
+            assert huge.to_float_rows() == mat.to_float_rows(), name
+
+
+def test_scale_cols_examples():
+    a = M([[1, 2], [3, Fraction(1, 2)]])
+    assert a.scale_cols([Fraction(1, 2), 4]) == M([[Fraction(1, 2), 8], [Fraction(3, 2), 2]])
+    assert a.scale_cols([0, 1]) == M([[0, 2], [0, Fraction(1, 2)]])
+    with pytest.raises(DimensionMismatchError):
+        a.scale_cols([1])
+
+
+# numerators and denominators of up to about 1100 bits: quotients past the
+# float range, subnormal ones, ones that round to zero, and everything between
+wide = st.builds(Fraction, st.integers(-10**330, 10**330), st.integers(1, 10**330))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda c: st.lists(
+    st.lists(wide, min_size=c, max_size=c), max_size=3).map(
+        lambda rows: M(rows, cols=c))), st.data())
+def test_float_rows_are_the_floats_of_the_entries_bit_for_bit(mat, data):
+    # a product puts the entries over a common scale that is not theirs
+    other = data.draw(rows_of(mat.cols, mat.cols))
+    assume(rank(other) == mat.cols)
+    for m in (mat, mat @ other):
+        try:
+            want = [[float(e).hex() for e in r] for r in rows_of_entries(m)]
+        except OverflowError:
+            with pytest.raises(OverflowDivergenceError):
+                m.to_float_rows()
+            continue
+        assert [[v.hex() for v in r] for r in m.to_float_rows()] == want
